@@ -40,17 +40,32 @@ func benchExperiment(b *testing.B, name string) {
 // under the three storage mappings of Figure 4.
 func BenchmarkFig6StorageMaps(b *testing.B) { benchExperiment(b, "fig6") }
 
-// benchGreedy runs the Figure 10 searches (both workloads) per
+// fig10Workloads are the workloads of the Figure 10 searches.
+func fig10Workloads() []*xquery.Workload {
+	return []*xquery.Workload{imdb.LookupWorkload(), imdb.PublishWorkload()}
+}
+
+// fig11Workloads are the mixed workloads of the Figure 11 searches: the
+// C[0.25]/C[0.50]/C[0.75] configurations and the OPT sweep.
+func fig11Workloads() []*xquery.Workload {
+	var wls []*xquery.Workload
+	for _, k := range []float64{0.25, 0.5, 0.75, 0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0} {
+		wls = append(wls, imdb.MixedWorkload(k))
+	}
+	return wls
+}
+
+// benchGreedy runs one figure's searches (every workload) per
 // iteration, either against one cost cache shared across the whole
 // benchmark or fully uncached, and reports the evaluator traffic:
 // evals/op counts full cost-pipeline runs, hits/op the candidate
 // costings answered from memory, translations/op the per-query
 // translate+cost runs the incremental layer could not avoid.
-func benchGreedy(b *testing.B, strategy core.Strategy, cache *core.CostCache, incremental bool) {
+func benchGreedy(b *testing.B, strategy core.Strategy, workloads func() []*xquery.Workload, cache *core.CostCache, incremental bool) {
 	b.Helper()
 	var evals, hits, translations, qhits, qmisses uint64
 	for i := 0; i < b.N; i++ {
-		for _, wl := range []*xquery.Workload{imdb.LookupWorkload(), imdb.PublishWorkload()} {
+		for _, wl := range workloads() {
 			opts := core.Options{Strategy: strategy, DisableIncremental: !incremental}
 			if cache != nil {
 				opts.Cache = cache
@@ -85,41 +100,45 @@ func benchGreedy(b *testing.B, strategy core.Strategy, cache *core.CostCache, in
 // warms it, later runs pay only the per-iteration winner
 // materializations.
 func BenchmarkFig10GreedySO(b *testing.B) {
-	benchGreedy(b, core.GreedySO, core.NewCostCache(0), true)
+	benchGreedy(b, core.GreedySO, fig10Workloads, core.NewCostCache(0), true)
 }
 
 // BenchmarkFig10GreedySOFullEval turns the incremental layers off (every
 // evaluation re-translates the whole workload) but keeps the cost cache.
 func BenchmarkFig10GreedySOFullEval(b *testing.B) {
-	benchGreedy(b, core.GreedySO, core.NewCostCache(0), false)
+	benchGreedy(b, core.GreedySO, fig10Workloads, core.NewCostCache(0), false)
 }
 
 // BenchmarkFig10GreedySOUncached is the memoization-off baseline: every
 // candidate pays a full evaluator pipeline run, as the paper's prototype
 // did.
-func BenchmarkFig10GreedySOUncached(b *testing.B) { benchGreedy(b, core.GreedySO, nil, false) }
+func BenchmarkFig10GreedySOUncached(b *testing.B) {
+	benchGreedy(b, core.GreedySO, fig10Workloads, nil, false)
+}
 
 // BenchmarkFig10GreedySI regenerates the greedy-si convergence series of
 // Figure 10 (cached; see the SO variants for the cache setup).
 func BenchmarkFig10GreedySI(b *testing.B) {
-	benchGreedy(b, core.GreedySI, core.NewCostCache(0), true)
+	benchGreedy(b, core.GreedySI, fig10Workloads, core.NewCostCache(0), true)
 }
 
 // BenchmarkFig10GreedySIFullEval is greedy-si with the incremental
 // layers off.
 func BenchmarkFig10GreedySIFullEval(b *testing.B) {
-	benchGreedy(b, core.GreedySI, core.NewCostCache(0), false)
+	benchGreedy(b, core.GreedySI, fig10Workloads, core.NewCostCache(0), false)
 }
 
 // BenchmarkFig10GreedySIUncached is greedy-si with memoization off.
-func BenchmarkFig10GreedySIUncached(b *testing.B) { benchGreedy(b, core.GreedySI, nil, false) }
+func BenchmarkFig10GreedySIUncached(b *testing.B) {
+	benchGreedy(b, core.GreedySI, fig10Workloads, nil, false)
+}
 
-// benchFig11 regenerates the Figure 11 sweep with the experiments
-// package's shared cache on or off, reporting its hit/miss traffic.
-func benchFig11(b *testing.B, cached bool) {
-	b.Helper()
-	experiments.EnableCache(cached)
-	defer experiments.EnableCache(true)
+// BenchmarkFig11Sensitivity regenerates Figure 11: the workload-mix
+// sensitivity sweep with C[0.25]/C[0.50]/C[0.75], ALL-INLINED and OPT.
+// The sweep's 15 searches overlap heavily, so the experiments package's
+// shared cache absorbs most of the cost; its hit/miss traffic is
+// reported.
+func BenchmarkFig11Sensitivity(b *testing.B) {
 	start := experiments.CacheStats()
 	benchExperiment(b, "fig11")
 	st := experiments.CacheStats().Sub(start)
@@ -127,14 +146,12 @@ func benchFig11(b *testing.B, cached bool) {
 	b.ReportMetric(float64(st.Misses)/float64(b.N), "misses/op")
 }
 
-// BenchmarkFig11Sensitivity regenerates Figure 11: the workload-mix
-// sensitivity sweep with C[0.25]/C[0.50]/C[0.75], ALL-INLINED and OPT.
-// The sweep's 15 searches overlap heavily, so the shared cache absorbs
-// most of the cost.
-func BenchmarkFig11Sensitivity(b *testing.B) { benchFig11(b, true) }
-
-// BenchmarkFig11SensitivityUncached is the sweep with memoization off.
-func BenchmarkFig11SensitivityUncached(b *testing.B) { benchFig11(b, false) }
+// BenchmarkFig11SensitivityUncached is the memoization-off baseline of
+// the sweep's greedy-si searches: every candidate pays a full evaluator
+// pipeline run.
+func BenchmarkFig11SensitivityUncached(b *testing.B) {
+	benchGreedy(b, core.GreedySI, fig11Workloads, nil, true)
+}
 
 // BenchmarkFig13UnionDistribution regenerates Figure 13: the
 // union-transformed configuration against all-inlined on Figure 12's

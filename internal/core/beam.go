@@ -75,7 +75,7 @@ func BeamSearch(ctx context.Context, schema *xschema.Schema, wkld *xquery.Worklo
 	}
 	cache := opts.searchCache()
 	eval := &Evaluator{Workload: wkld, RootCount: rootCount, Model: opts.Model, Cache: cache,
-		DisableIncremental: opts.DisableIncremental, DisableSharing: opts.DisableSharing}
+		DisableIncremental: opts.DisableIncremental}
 	cacheStart := cache.Stats()
 	initial, _, err := eval.EvaluateCached(ctx, ps)
 	if err != nil {

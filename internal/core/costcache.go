@@ -427,10 +427,11 @@ func (c *CostCache) SaveSnapshotFile(path string) error {
 // LoadSnapshotFile merges a snapshot file into the cache with the
 // lenient semantics every binary wants from a warm-start file: a
 // missing file is fine (n=0), and a corrupt one is renamed aside to
-// path+".corrupt" (quarantined, so the next save starts clean and the
-// evidence survives) with the cache untouched. The returned warning is
-// non-empty when that happened — callers log it and continue cold. Only
-// I/O errors reading an existing, well-formed file are returned as err.
+// path+".corrupt" (quarantined by fsio.Quarantine, so the next save
+// starts clean and the evidence survives) with the cache untouched. The
+// returned warning is non-empty when that happened — callers log it and
+// continue cold. Only I/O errors reading an existing, well-formed file
+// are returned as err.
 func (c *CostCache) LoadSnapshotFile(path string) (n int, warning string, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -447,8 +448,8 @@ func (c *CostCache) LoadSnapshotFile(path string) (n int, warning string, err er
 	if !errors.Is(err, ErrCorruptSnapshot) {
 		return 0, "", fmt.Errorf("core: load cache snapshot %s: %w", path, err)
 	}
-	quarantine := path + ".corrupt"
-	if renameErr := os.Rename(path, quarantine); renameErr != nil {
+	quarantine, renameErr := fsio.Quarantine(path)
+	if renameErr != nil {
 		return 0, fmt.Sprintf("cache snapshot %s is corrupt (%v); continuing cold (quarantine failed: %v)", path, err, renameErr), nil
 	}
 	return 0, fmt.Sprintf("cache snapshot %s is corrupt (%v); quarantined to %s, continuing cold", path, err, quarantine), nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -133,5 +134,34 @@ func TestMemoInconsistencyFallsBackToFullEvaluation(t *testing.T) {
 	}
 	if got, want := resultSignature(res), resultSignature(baseline); got != want {
 		t.Fatalf("fallback evaluation diverged from the incremental baseline:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestAnnotateFaultFailsSearch: the statistics annotation runs once,
+// before the initial configuration exists, so a fault there has no
+// best-so-far to fall back on — greedy and beam search both return an
+// error wrapping the injected fault instead of panicking.
+func TestAnnotateFaultFailsSearch(t *testing.T) {
+	searches := map[string]func() (*Result, error){
+		"greedy": func() (*Result, error) {
+			return GreedySearch(context.Background(), imdb.Schema(), imdb.LookupWorkload(), imdb.Stats(),
+				Options{Strategy: GreedySO})
+		},
+		"beam": func() (*Result, error) {
+			return BeamSearch(context.Background(), imdb.Schema(), imdb.LookupWorkload(), imdb.Stats(),
+				BeamOptions{Options: Options{Strategy: GreedySO}, Width: 3})
+		},
+	}
+	for name, search := range searches {
+		restore := faults.Enable(faults.SiteAnnotate, 1, false)
+		res, err := search()
+		hits := faults.Hits(faults.SiteAnnotate)
+		restore()
+		if !errors.Is(err, faults.ErrInjected) {
+			t.Errorf("%s: want an error wrapping faults.ErrInjected, got result %v, error %v", name, res, err)
+		}
+		if hits != 1 {
+			t.Errorf("%s: annotate failpoint fired %d times, want 1", name, hits)
+		}
 	}
 }

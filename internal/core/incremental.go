@@ -631,17 +631,9 @@ func (e *Evaluator) evaluateIncremental(ctx context.Context, ps *xschema.Schema,
 			// On a shape hit the stored AST is what re-translation would
 			// produce (translation reads only the structure the shape key
 			// covers), so only the costing below is paid.
-			if e.DisableSharing {
-				est, err := getOpt().QueryCost(sq)
-				if err != nil {
-					return Config{}, err
-				}
-				cost = est.Cost
-			} else {
-				cost, err = getSpace().QueryCost(sq)
-				if err != nil {
-					return Config{}, err
-				}
+			cost, err = getSpace().QueryCost(sq)
+			if err != nil {
+				return Config{}, err
 			}
 			e.storeQueryCost(i, key, deps, cost, sq)
 		}

@@ -113,9 +113,6 @@ type SearchReport struct {
 	// MemoFallbacks counts incremental evaluations that detected an
 	// inconsistent memo state and gracefully re-ran the full pipeline.
 	MemoFallbacks uint64
-	// AnnotateFallbacks counts candidates whose incremental statistics
-	// re-annotation failed and fell back to a full re-annotation.
-	AnnotateFallbacks uint64
 	// BlocksRequested and BlocksCosted mirror Result: SPJ block costings
 	// asked of the logical-plan layer versus actually run — the gap is
 	// the sharing the plan layer delivered during this search.
@@ -138,7 +135,6 @@ type searchState struct {
 	evaluated atomic.Int64
 	skipped   atomic.Int64
 	failed    atomic.Int64
-	annFalls  atomic.Uint64
 
 	mu   sync.Mutex
 	errs []CandidateError
@@ -213,16 +209,15 @@ func (st *searchState) report(stop StopReason, iterations int, eval *Evaluator, 
 	st.mu.Unlock()
 	req, costed := eval.BlockStats()
 	return SearchReport{
-		Stop:              stop,
-		Iterations:        iterations,
-		Evaluated:         st.evaluated.Load(),
-		Skipped:           st.skipped.Load(),
-		Failed:            st.failed.Load(),
-		Errors:            errs,
-		MemoFallbacks:     eval.MemoFallbacks(),
-		AnnotateFallbacks: st.annFalls.Load(),
-		BlocksRequested:   req,
-		BlocksCosted:      costed,
-		Elapsed:           elapsed,
+		Stop:            stop,
+		Iterations:      iterations,
+		Evaluated:       st.evaluated.Load(),
+		Skipped:         st.skipped.Load(),
+		Failed:          st.failed.Load(),
+		Errors:          errs,
+		MemoFallbacks:   eval.MemoFallbacks(),
+		BlocksRequested: req,
+		BlocksCosted:    costed,
+		Elapsed:         elapsed,
 	}
 }

@@ -8,11 +8,13 @@ import (
 	"legodb/internal/xquery"
 )
 
-// TestPlanSharingDifferential: every search outcome — per-iteration
-// costs, applied transformations, final DDL — must be byte-identical
-// with shared subplan costing on and off, across strategies, workloads
-// and worker counts. Sharing may only change how many optimizer block
-// costings run, never what they return.
+// TestPlanSharingDifferential: shared subplan costing must engage on
+// the default search path (fewer block costings run than requested)
+// across strategies, workloads and worker counts. The differential half
+// — shared costs equal to unshared ones — is carried by
+// TestIncrementalMatchesFullEvaluation, whose full path costs every
+// block through the optimizer directly, and by
+// plan.TestSpaceMatchesQueryCost.
 func TestPlanSharingDifferential(t *testing.T) {
 	for _, strategy := range []Strategy{GreedySO, GreedySI} {
 		for _, wl := range []struct {
@@ -23,55 +25,35 @@ func TestPlanSharingDifferential(t *testing.T) {
 			{"publish", imdb.PublishWorkload},
 		} {
 			for _, workers := range []int{1, 8} {
-				var sigs [2]string
-				var reses [2]*Result
-				for i, disable := range []bool{false, true} {
-					res, err := GreedySearch(context.Background(), imdb.Schema(), wl.make(), imdb.Stats(), Options{
-						Strategy: strategy, Workers: workers, Cache: NewCostCache(0), DisableSharing: disable,
-					})
-					if err != nil {
-						t.Fatalf("%v/%s/workers=%d sharing=%v: %v", strategy, wl.name, workers, !disable, err)
-					}
-					sigs[i] = resultSignature(res)
-					reses[i] = res
+				res, err := GreedySearch(context.Background(), imdb.Schema(), wl.make(), imdb.Stats(), Options{
+					Strategy: strategy, Workers: workers, Cache: NewCostCache(0),
+				})
+				if err != nil {
+					t.Fatalf("%v/%s/workers=%d: %v", strategy, wl.name, workers, err)
 				}
-				if sigs[0] != sigs[1] {
-					t.Errorf("%v/%s/workers=%d: sharing changed the outcome:\n--- shared\n%s\n--- unshared\n%s",
-						strategy, wl.name, workers, sigs[0], sigs[1])
-				}
-				if reses[0].BlocksCosted >= reses[0].BlocksRequested {
+				if res.BlocksCosted >= res.BlocksRequested {
 					t.Errorf("%v/%s/workers=%d: sharing never engaged: %d costed of %d requested",
-						strategy, wl.name, workers, reses[0].BlocksCosted, reses[0].BlocksRequested)
-				}
-				if reses[1].BlocksRequested != 0 {
-					t.Errorf("%v/%s/workers=%d: disabled sharing still routed %d blocks through the plan layer",
-						strategy, wl.name, workers, reses[1].BlocksRequested)
+						strategy, wl.name, workers, res.BlocksCosted, res.BlocksRequested)
 				}
 			}
 		}
 	}
 }
 
-// TestBeamSharingDifferential mirrors the greedy differential for beam
-// search at width 3.
+// TestBeamSharingDifferential mirrors TestPlanSharingDifferential for
+// beam search at width 3; TestIncrementalMatchesFullBeam
+// carries the differential half.
 func TestBeamSharingDifferential(t *testing.T) {
-	var sigs [2]string
-	for i, disable := range []bool{false, true} {
-		res, err := BeamSearch(context.Background(), imdb.Schema(), imdb.LookupWorkload(), imdb.Stats(), BeamOptions{
-			Options: Options{Strategy: GreedySO, Cache: NewCostCache(0), DisableSharing: disable},
-			Width:   3,
-		})
-		if err != nil {
-			t.Fatalf("sharing=%v: %v", !disable, err)
-		}
-		sigs[i] = resultSignature(res)
-		if !disable && res.BlocksCosted >= res.BlocksRequested {
-			t.Errorf("beam search never shared a block: %d costed of %d requested",
-				res.BlocksCosted, res.BlocksRequested)
-		}
+	res, err := BeamSearch(context.Background(), imdb.Schema(), imdb.LookupWorkload(), imdb.Stats(), BeamOptions{
+		Options: Options{Strategy: GreedySO, Cache: NewCostCache(0)},
+		Width:   3,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sigs[0] != sigs[1] {
-		t.Errorf("sharing changed the beam outcome:\n--- shared\n%s\n--- unshared\n%s", sigs[0], sigs[1])
+	if res.BlocksCosted >= res.BlocksRequested {
+		t.Errorf("beam search never shared a block: %d costed of %d requested",
+			res.BlocksCosted, res.BlocksRequested)
 	}
 }
 

@@ -20,16 +20,8 @@ import (
 // greedy/beam trajectories), so later runs answer most costings from the
 // cache instead of re-running the evaluator pipeline. Keys include the
 // workload and cost-model digests, so experiments with different
-// workloads never collide. Disable with EnableCache(false) (or
-// cmd/experiments -nocache) to measure the uncached baseline.
+// workloads never collide.
 var sharedCache = core.NewCostCache(1 << 16)
-
-// cacheEnabled gates all memoization in this package (searches fall back
-// to fully uncached evaluation when false, as the paper's prototype ran).
-var cacheEnabled = true
-
-// EnableCache switches the package-wide cost memoization on or off.
-func EnableCache(on bool) { cacheEnabled = on }
 
 // cacheRegistry, when enabled, backs the package's shared cache with a
 // cross-engine CacheRegistry: every experiment attaches as one fleet
@@ -73,15 +65,6 @@ func CacheStats() core.CacheStats { return sharedCache.Stats() }
 // beam levels — used by CI smoke runs to keep wall-clock short.
 var MaxIterations int
 
-// incrementalEnabled gates the evaluator's incremental layers (delta
-// re-mapping, per-query cost reuse, catalog caching). Off measures the
-// full-pipeline baseline; results are identical either way.
-var incrementalEnabled = true
-
-// EnableIncremental switches incremental candidate evaluation on or off
-// (cmd/experiments -noincremental).
-func EnableIncremental(on bool) { incrementalEnabled = on }
-
 // workerBound bounds the candidate-evaluation worker pool of every
 // search (0 = GOMAXPROCS, 1 = sequential). Results are byte-identical
 // at any bound — the worker-sweep determinism test in internal/core
@@ -91,17 +74,6 @@ var workerBound int
 // SetWorkers sets the per-search worker-pool bound
 // (cmd/experiments -workers).
 func SetWorkers(n int) { workerBound = n }
-
-// sharingEnabled gates the logical-plan layer (internal/plan): off, every
-// translated SPJ block is costed by the optimizer directly instead of
-// structurally identical blocks sharing one costing. Results are
-// byte-identical either way — the -noshare escape hatch exists to prove
-// exactly that, and to measure the unshared baseline.
-var sharingEnabled = true
-
-// EnableSharing switches shared subplan costing on or off
-// (cmd/experiments -noshare).
-func EnableSharing(on bool) { sharingEnabled = on }
 
 // PlanStats snapshots the shared block-costing memo's counters.
 func PlanStats() plan.StoreStats { return sharedCache.BlockStats() }
@@ -125,24 +97,8 @@ func SaveCacheFile(path string) error {
 // the requested strategy plus the package-wide cache and iteration
 // budget.
 func searchOptions(strategy core.Strategy) core.Options {
-	opts := core.Options{Strategy: strategy, MaxIterations: MaxIterations,
-		Workers:            workerBound,
-		DisableIncremental: !incrementalEnabled, DisableSharing: !sharingEnabled}
-	if cacheEnabled {
-		opts.Cache = sharedCache
-	} else {
-		opts.DisableCache = true
-	}
-	return opts
-}
-
-// costCache returns the cache plain costings should use (nil when
-// disabled).
-func costCache() *core.CostCache {
-	if cacheEnabled {
-		return sharedCache
-	}
-	return nil
+	return core.Options{Strategy: strategy, MaxIterations: MaxIterations,
+		Workers: workerBound, Cache: sharedCache}
 }
 
 // annotatedIMDB returns the IMDB schema annotated with (optionally
@@ -225,11 +181,10 @@ func costOn(ps *xschema.Schema, q *xquery.Query) (float64, error) {
 	return workloadCostOn(ps, w)
 }
 
-// workloadCostOn evaluates a workload's weighted cost on a configuration,
-// honoring the package-wide cache/sharing switches.
+// workloadCostOn evaluates a workload's weighted cost on a configuration
+// through the package-wide cache.
 func workloadCostOn(ps *xschema.Schema, w *xquery.Workload) (float64, error) {
-	e := &core.Evaluator{Workload: w, RootCount: 1, Cache: costCache(),
-		DisableSharing: !sharingEnabled}
+	e := &core.Evaluator{Workload: w, RootCount: 1, Cache: sharedCache}
 	cfg, _, err := e.EvaluateCached(context.Background(), ps)
 	if err != nil {
 		return 0, err

@@ -30,8 +30,9 @@ const (
 	// SiteQueryCost fires in optimizer.QueryCost, before a translated
 	// query is costed.
 	SiteQueryCost = "optimizer.querycost"
-	// SiteAnnotate fires in xstats.AnnotateDelta, before an incremental
-	// re-annotation.
+	// SiteAnnotate fires in xstats.Annotate, before a schema is
+	// annotated with statistics (once per search, before the initial
+	// physical schema is built).
 	SiteAnnotate = "xstats.annotate"
 	// SiteMemo fires in the evaluator's incremental path; arming it makes
 	// incremental evaluation report an inconsistent memo state, forcing

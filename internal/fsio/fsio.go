@@ -1,6 +1,7 @@
-// Package fsio centralizes the two disciplines every on-disk artifact in
-// this repo shares: Castagnoli checksums (one package-level table instead
-// of a crc32.MakeTable per call) and crash-consistent file replacement.
+// Package fsio centralizes the disciplines every on-disk artifact in this
+// repo shares: Castagnoli checksums (one package-level table instead of a
+// crc32.MakeTable per call), crash-consistent file replacement, and the
+// quarantine of files found corrupt.
 //
 // The durability contract WriteFileAtomic enforces is the classic
 // fsync-before-rename protocol: the bytes are written to a sibling temp
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -91,4 +93,27 @@ func syncDir(dir string) error {
 		return fmt.Errorf("fsio: fsync %s: %w", dir, err)
 	}
 	return nil
+}
+
+// Quarantine renames a file found corrupt aside, so its bytes survive
+// for inspection and path is free for the next save. The new name is
+// path+".corrupt", or the first of path+".corrupt.1", path+".corrupt.2",
+// … that does not exist yet: a later corruption of the same path never
+// overwrites an earlier one's evidence. It returns the new name.
+func Quarantine(path string) (string, error) {
+	dst := path + ".corrupt"
+	for i := 1; ; i++ {
+		_, err := os.Lstat(dst)
+		if errors.Is(err, fs.ErrNotExist) {
+			break
+		}
+		if err != nil {
+			return "", err
+		}
+		dst = fmt.Sprintf("%s.corrupt.%d", path, i)
+	}
+	if err := os.Rename(path, dst); err != nil {
+		return "", err
+	}
+	return dst, nil
 }

@@ -171,3 +171,34 @@ func TestWriteFileAtomicConcurrentDistinctPaths(t *testing.T) {
 		t.Errorf("want 8 files, got %v", names)
 	}
 }
+
+// TestQuarantineKeepsEarlierEvidence corrupts the same path twice: the
+// second quarantine must pick a fresh name instead of overwriting the
+// first, and both files must keep their bytes.
+func TestQuarantineKeepsEarlierEvidence(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "data.bin")
+	var got []string
+	for _, content := range []string{"first corruption", "second corruption"} {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		dst, err := Quarantine(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("quarantined file still occupies %s", path)
+		}
+		got = append(got, dst)
+	}
+	if want := []string{path + ".corrupt", path + ".corrupt.1"}; got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("quarantine names = %v, want %v", got, want)
+	}
+	if b := readFile(t, got[0]); string(b) != "first corruption" {
+		t.Errorf("first evidence = %q", b)
+	}
+	if b := readFile(t, got[1]); string(b) != "second corruption" {
+		t.Errorf("second evidence = %q", b)
+	}
+}

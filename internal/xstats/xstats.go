@@ -14,9 +14,6 @@ package xstats
 
 import (
 	"fmt"
-	"hash/fnv"
-	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -402,6 +399,9 @@ func bucketize(samples []int64, min, max int64, buckets int) []int64 {
 // the TILDE component first and otherwise aggregate the collected
 // children at that position.
 func Annotate(s *xschema.Schema, set *Set) error {
+	if err := faults.Inject(faults.SiteAnnotate); err != nil {
+		return err
+	}
 	root, ok := s.Lookup(s.Root)
 	if !ok {
 		return fmt.Errorf("xstats: schema root %q undefined", s.Root)
@@ -411,170 +411,6 @@ func Annotate(s *xschema.Schema, set *Set) error {
 	return nil
 }
 
-// Memo records one annotation run over a schema: the shallow per-type
-// digests of the annotated result (xschema.TypeDigests) and the walk
-// context — element path and enclosing instance count — every named
-// type was expanded under. AnnotateDelta diffs a derived schema against
-// it to re-annotate only what a transformation could have changed.
-type Memo struct {
-	setSig  uint64
-	digests map[string]xschema.Fingerprint
-	visits  map[string][]visitCtx
-}
-
-// visitCtx is one Ref-expansion context of the annotation walk: the
-// element path, the enclosing instance count, and a signature of the
-// recursion stack (which governs how recursive re-expansions inside the
-// subtree are truncated).
-type visitCtx struct {
-	path  string
-	count float64
-	stack uint64
-}
-
-// setSignature digests a statistics set (delta annotation requires the
-// same set the memo was built with).
-func setSignature(set *Set) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, set.String())
-	return h.Sum64()
-}
-
-// AnnotateMemo is Annotate, additionally returning a Memo for later
-// incremental re-annotation of schemas derived from this one.
-func AnnotateMemo(s *xschema.Schema, set *Set) (*Memo, error) {
-	root, ok := s.Lookup(s.Root)
-	if !ok {
-		return nil, fmt.Errorf("xstats: schema root %q undefined", s.Root)
-	}
-	memo := &Memo{setSig: setSignature(set), visits: make(map[string][]visitCtx)}
-	a := &annotator{schema: s, set: set, onStack: make(map[string]int), memo: memo}
-	a.walk(root, nil, 1)
-	memo.digests = s.TypeDigests()
-	return memo, nil
-}
-
-// AnnotateDelta re-annotates a schema derived from the one prev was
-// built on (e.g. by transform.Apply), descending only where needed:
-// when the walk reaches a named type whose reachable definitions are
-// all unchanged since prev and whose visit context matches the memoized
-// one, the entire subtree walk is skipped — its annotations are already
-// what a full walk would write. Types that can reach a changed
-// ("dirty") definition, or whose visit contexts changed, are re-walked
-// normally. The result is exactly Annotate(s, set): schemas annotated
-// by AnnotateDelta and by a fresh full walk are byte-identical. Falls
-// back to a full walk when the statistics set differs from the memo's
-// or when skip-safety cannot be proven (types visited under multiple
-// contexts, overlaps between skipped and re-walked regions).
-func AnnotateDelta(s *xschema.Schema, set *Set, prev *Memo) (*Memo, error) {
-	if err := faults.Inject(faults.SiteAnnotate); err != nil {
-		return nil, err
-	}
-	if prev == nil || prev.setSig != setSignature(set) {
-		return AnnotateMemo(s, set)
-	}
-	root, ok := s.Lookup(s.Root)
-	if !ok {
-		return nil, fmt.Errorf("xstats: schema root %q undefined", s.Root)
-	}
-	cur := s.TypeDigests()
-	dirty := make(map[string]bool)
-	for name, d := range cur {
-		if pd, ok := prev.digests[name]; !ok || pd != d {
-			dirty[name] = true
-		}
-	}
-	memo := &Memo{setSig: prev.setSig, visits: make(map[string][]visitCtx)}
-	a := &annotator{
-		schema:  s,
-		set:     set,
-		onStack: make(map[string]int),
-		memo:    memo,
-		prev:    prev,
-		taint:   dirtyReach(s, dirty),
-		skipped: make(map[string]bool),
-		live:    make(map[string]bool),
-	}
-	a.walk(root, nil, 1)
-	// Skip-safety post-check: a type inside a skipped subtree must not
-	// also have been re-annotated live (a full walk could interleave the
-	// writes in a different order) and must not be tainted. Violations
-	// are rare; fall back to the full walk.
-	reach := skippedReach(s, a.skipped)
-	for name := range reach {
-		if a.live[name] || a.taint[name] {
-			return AnnotateMemo(s, set)
-		}
-	}
-	// Types seen only inside skipped subtrees keep their memoized visit
-	// records: the skipped walk would have reproduced them exactly.
-	for name := range reach {
-		if _, seen := memo.visits[name]; !seen {
-			if vs, ok := prev.visits[name]; ok {
-				memo.visits[name] = vs
-			}
-		}
-	}
-	// Digests of the annotated result (re-annotated types changed).
-	memo.digests = s.TypeDigests()
-	return memo, nil
-}
-
-// dirtyReach returns every name that can reach a dirty definition
-// through type references (including the dirty names themselves):
-// reverse reachability over the reference graph.
-func dirtyReach(s *xschema.Schema, dirty map[string]bool) map[string]bool {
-	rev := make(map[string][]string)
-	for name, def := range s.Types {
-		xschema.Visit(def, func(t xschema.Type) {
-			if r, ok := t.(*xschema.Ref); ok {
-				rev[r.Name] = append(rev[r.Name], name)
-			}
-		})
-	}
-	taint := make(map[string]bool, len(dirty))
-	queue := make([]string, 0, len(dirty))
-	for d := range dirty {
-		taint[d] = true
-		queue = append(queue, d)
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, p := range rev[n] {
-			if !taint[p] {
-				taint[p] = true
-				queue = append(queue, p)
-			}
-		}
-	}
-	return taint
-}
-
-// skippedReach returns every name reachable from a skipped type
-// (including the skipped names themselves).
-func skippedReach(s *xschema.Schema, skipped map[string]bool) map[string]bool {
-	reach := make(map[string]bool)
-	var visit func(name string)
-	visit = func(name string) {
-		if reach[name] {
-			return
-		}
-		reach[name] = true
-		if def, ok := s.Types[name]; ok {
-			xschema.Visit(def, func(t xschema.Type) {
-				if r, ok := t.(*xschema.Ref); ok {
-					visit(r.Name)
-				}
-			})
-		}
-	}
-	for name := range skipped {
-		visit(name)
-	}
-	return reach
-}
-
 type annotator struct {
 	schema *xschema.Schema
 	set    *Set
@@ -582,63 +418,6 @@ type annotator struct {
 	// branch; recursive types are expanded at most twice so that
 	// annotation terminates on schemas like AnyElement.
 	onStack map[string]int
-	// memo, when non-nil, records Ref-expansion contexts; prev enables
-	// delta mode (skip clean subtrees), with taint/skipped/live backing
-	// the skip decision and its safety post-check.
-	memo    *Memo
-	prev    *Memo
-	taint   map[string]bool
-	skipped map[string]bool
-	live    map[string]bool
-}
-
-// record notes one Ref-expansion context in the memo.
-func (a *annotator) record(name string, path []string, count float64) {
-	if a.memo == nil {
-		return
-	}
-	a.memo.visits[name] = append(a.memo.visits[name],
-		visitCtx{path: key(path), count: count, stack: a.stackSig()})
-}
-
-// stackSig digests the current recursion-stack state (named types with
-// live expansions on this walk branch).
-func (a *annotator) stackSig() uint64 {
-	var names []string
-	for n, c := range a.onStack {
-		if c > 0 {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	h := fnv.New64a()
-	for _, n := range names {
-		io.WriteString(h, n)
-		h.Write([]byte{0, byte(a.onStack[n])})
-	}
-	return h.Sum64()
-}
-
-// skippable reports whether the walk may skip descending into the named
-// type: nothing it can reach changed since the memo was built, the memo
-// saw it expanded exactly once, this run has not expanded it yet, and
-// the context (path and instance count) is bit-identical to the
-// memoized one — so the subtree's annotations are already exactly what
-// this walk would write.
-func (a *annotator) skippable(name string, path []string, count float64) bool {
-	if a.taint[name] {
-		return false
-	}
-	if len(a.memo.visits[name]) != 0 {
-		return false
-	}
-	pv := a.prev.visits[name]
-	if len(pv) != 1 {
-		return false
-	}
-	return pv[0].path == key(path) &&
-		math.Float64bits(pv[0].count) == math.Float64bits(count) &&
-		pv[0].stack == a.stackSig()
 }
 
 // walk annotates t in the context of the given element path; parentCount
@@ -714,17 +493,6 @@ func (a *annotator) walk(t xschema.Type, path []string, parentCount float64) {
 		// expanded at most twice along one walk branch.
 		if a.onStack[t.Name] >= 2 {
 			return
-		}
-		if a.prev != nil && a.skippable(t.Name, path, parentCount) {
-			// Delta mode: the whole subtree walk would rewrite exactly the
-			// annotations it already carries — record the visit and skip.
-			a.skipped[t.Name] = true
-			a.record(t.Name, path, parentCount)
-			return
-		}
-		a.record(t.Name, path, parentCount)
-		if a.live != nil {
-			a.live[t.Name] = true
 		}
 		a.onStack[t.Name]++
 		if def, ok := a.schema.Lookup(t.Name); ok {

@@ -365,13 +365,6 @@ type AdviseOptions struct {
 	// costed (0 = unbounded); exhausting it is likewise an anytime stop
 	// (StopBudget).
 	MaxEvaluations int
-	// DisableCache turns off the engine-wide cost memoization for this
-	// call (every candidate pays a full evaluator pipeline run).
-	DisableCache bool
-	// DisableIncremental turns off the incremental evaluation layers
-	// (delta re-mapping, per-query cost reuse, catalog caching); the
-	// chosen configuration and its cost are identical either way.
-	DisableIncremental bool
 }
 
 // Advice is the outcome of a search: the chosen configuration and the
@@ -427,12 +420,7 @@ func (e *Engine) AdviseWorkload(ctx context.Context, w *xquery.Workload, opts Ad
 		Workers:        opts.Workers,
 		Deadline:       opts.Timeout,
 		Budget:         opts.MaxEvaluations,
-		DisableCache:   opts.DisableCache,
-
-		DisableIncremental: opts.DisableIncremental,
-	}
-	if !opts.DisableCache {
-		copts.Cache = cache
+		Cache:          cache,
 	}
 	var res *core.Result
 	var err error
@@ -494,10 +482,10 @@ func (e *Engine) LoadCostCacheFile(path string) (n int, warning string, err erro
 
 // EvaluateFixed costs a fixed named configuration ("all-inlined" or
 // "all-outlined") without searching; useful as a baseline. The optional
-// AdviseOptions carries the knobs that change a fixed costing —
-// Documents (the stored document count, default 1) and DisableCache —
-// so a baseline is priced under the same assumptions as the search it
-// is compared against.
+// AdviseOptions carries the one knob that changes a fixed costing —
+// Documents (the stored document count, default 1) — so a baseline is
+// priced under the same assumptions as the search it is compared
+// against.
 func (e *Engine) EvaluateFixed(config string, opts ...AdviseOptions) (*Advice, error) {
 	var o AdviseOptions
 	if len(opts) > 0 {
@@ -528,9 +516,6 @@ func (e *Engine) EvaluateFixed(config string, opts ...AdviseOptions) (*Advice, e
 	documents := o.Documents
 	if documents == 0 {
 		documents = 1
-	}
-	if o.DisableCache {
-		cache = nil
 	}
 	// Evaluate through the engine cache: a later Advise revisiting this
 	// fixed configuration (or a repeated baseline evaluation) costs it

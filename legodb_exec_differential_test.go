@@ -3,9 +3,20 @@ package legodb
 import (
 	"testing"
 
+	"legodb/internal/engine"
 	"legodb/internal/imdb"
 	"legodb/internal/xmltree"
 )
+
+// setRowAtATimeExec switches a store's executor between the default
+// vectorized batch implementation (false) and the reference
+// row-at-a-time iterator (true), the baseline the differential tests
+// compare the batch executor against.
+func setRowAtATimeExec(s *Store, on bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.db.Exec = engine.Options{RowAtATime: on}
+}
 
 // Store-level batch-vs-rows differential: two stores opened from the
 // same advice and loaded with the same document, one on the vectorized
@@ -34,7 +45,7 @@ func TestStoreExecutorsDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		store.SetRowAtATimeExec(rowAtATime)
+		setRowAtATimeExec(store, rowAtATime)
 		doc := imdb.Generate(imdb.GenOptions{Shows: 40, Seed: 13})
 		if err := store.Load(doc); err != nil {
 			t.Fatal(err)

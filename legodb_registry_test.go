@@ -241,11 +241,4 @@ func TestEvaluateFixedDocumentsAndStats(t *testing.T) {
 	if st := again.CacheStats(); st.Hits == 0 {
 		t.Fatalf("repeated baseline missed the engine cache: %+v", st)
 	}
-	uncached, err := e.EvaluateFixed("all-inlined", AdviseOptions{Documents: 50, DisableCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uncached.Cost() != scaled.Cost() {
-		t.Fatalf("uncached baseline costed %g, cached %g", uncached.Cost(), scaled.Cost())
-	}
 }

@@ -3,7 +3,6 @@ package legodb
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -23,27 +22,25 @@ import (
 //
 // Snapshots are framed with the in-house header (the cost-cache
 // snapshot idiom): magic, version, table count, payload length and a
-// CRC32C of the payload. Version 2 stores each table as a colfile
-// segment — the column-chunked binary format of internal/colfile — which
-// reopened stores serve directly as frozen columnar bases; version 1
-// (gob-encoded rows) still opens read-only for migration, and every save
-// writes version 2. A truncated, bit-flipped or foreign file is rejected
-// with ErrCorruptStoreSnapshot before any row is replayed, and
-// OpenStoreFile quarantines such a file to path+".corrupt" so the
-// evidence survives and the path is free for the next save. SaveFile is
-// crash-consistent: temp file, fsync, rename, parent-directory fsync —
-// a snapshot visible at the canonical path is complete and
-// checksum-valid.
+// CRC32C of the payload. Version 2, the only version read or written,
+// stores each table as a colfile segment — the column-chunked binary
+// format of internal/colfile — which reopened stores serve directly as
+// frozen columnar bases. A truncated, bit-flipped or foreign file, or
+// one with any other version (including the retired version-1 gob
+// rows), is rejected with ErrCorruptStoreSnapshot before any table is
+// built, and OpenStoreFile quarantines such a file (to path+".corrupt",
+// or the first free path+".corrupt.N" when earlier evidence holds that
+// name) so the evidence survives and the path is free for the next
+// save. SaveFile is crash-consistent: temp file, fsync, rename,
+// parent-directory fsync — a snapshot visible at the canonical path is
+// complete and checksum-valid.
 
 // storeMagic identifies a store snapshot ("LGDBSTOR").
 var storeMagic = [8]byte{'L', 'G', 'D', 'B', 'S', 'T', 'O', 'R'}
 
 const (
-	// storeSnapshotVersionGob is the legacy row-oriented gob payload,
-	// accepted by OpenStore but no longer written.
-	storeSnapshotVersionGob = 1
-	// storeSnapshotVersion is the current column-chunked payload: the
-	// schema text plus one colfile segment per table.
+	// storeSnapshotVersion is the column-chunked payload: the schema
+	// text plus one colfile segment per table.
 	storeSnapshotVersion = 2
 	storeHeaderLen       = 30
 	// maxStoreSnapshotTables bounds the declared table count; a header
@@ -60,22 +57,6 @@ const (
 // colfile segment, or a payload that does not decode. Callers can
 // errors.Is on it to quarantine the file.
 var ErrCorruptStoreSnapshot = errors.New("legodb: corrupt store snapshot")
-
-// storeSnapshot is the version-1 gob-encoded payload, kept for opening
-// legacy snapshots.
-type storeSnapshot struct {
-	// SchemaText is the p-schema in algebra notation (statistics
-	// annotations included).
-	SchemaText string
-	Tables     []tableSnapshot
-}
-
-type tableSnapshot struct {
-	Name    string
-	Columns []string
-	Rows    []engine.Row
-	NextID  int64
-}
 
 // Save writes the store (schema and all tables as colfile segments) to
 // w, framed and checksummed. It takes the store's read lock, so a
@@ -146,9 +127,8 @@ func (s *Store) SaveFile(path string) error {
 // the frame is validated (magic, version, declared sizes, payload
 // checksum — failures return ErrCorruptStoreSnapshot before anything is
 // built), then the schema is re-parsed, the catalog re-derived through
-// the fixed mapping, and the tables restored — version-2 colfile
-// segments become frozen columnar bases with their indexes rebuilt,
-// version-1 gob rows are replayed through Insert.
+// the fixed mapping, and the tables restored — each colfile segment
+// becomes a frozen columnar base with its indexes rebuilt.
 func OpenStore(r io.Reader) (*Store, error) {
 	var hdr [storeHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -158,9 +138,9 @@ func OpenStore(r io.Reader) (*Store, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorruptStoreSnapshot)
 	}
 	version := binary.LittleEndian.Uint16(hdr[8:10])
-	if version != storeSnapshotVersionGob && version != storeSnapshotVersion {
-		return nil, fmt.Errorf("%w: snapshot version %d, want %d or %d",
-			ErrCorruptStoreSnapshot, version, storeSnapshotVersionGob, storeSnapshotVersion)
+	if version != storeSnapshotVersion {
+		return nil, fmt.Errorf("%w: snapshot version %d, want %d",
+			ErrCorruptStoreSnapshot, version, storeSnapshotVersion)
 	}
 	declared := binary.LittleEndian.Uint64(hdr[10:18])
 	payloadLen := binary.LittleEndian.Uint64(hdr[18:26])
@@ -177,9 +157,6 @@ func OpenStore(r io.Reader) (*Store, error) {
 	}
 	if got := fsio.Checksum(payload); got != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch (%08x != %08x)", ErrCorruptStoreSnapshot, got, sum)
-	}
-	if version == storeSnapshotVersionGob {
-		return openStoreV1(payload, declared)
 	}
 	return openStoreV2(payload, declared)
 }
@@ -259,46 +236,6 @@ func takeSegment(payload []byte, what string) (seg, rest []byte, err error) {
 	return payload[4 : 4+n], payload[4+n:], nil
 }
 
-// openStoreV1 reconstructs a store from the legacy gob payload by
-// replaying rows through Insert.
-func openStoreV1(payload []byte, declared uint64) (*Store, error) {
-	var snap storeSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("%w: decode: %v", ErrCorruptStoreSnapshot, err)
-	}
-	if uint64(len(snap.Tables)) != declared {
-		return nil, fmt.Errorf("%w: %d tables decoded, header declared %d", ErrCorruptStoreSnapshot, len(snap.Tables), declared)
-	}
-	ps, err := xschema.ParseSchema(snap.SchemaText)
-	if err != nil {
-		return nil, fmt.Errorf("legodb: snapshot schema: %w", err)
-	}
-	cat, err := relational.Map(ps)
-	if err != nil {
-		return nil, fmt.Errorf("legodb: snapshot mapping: %w", err)
-	}
-	store, err := openStore(ps, cat)
-	if err != nil {
-		return nil, err
-	}
-	for _, ts := range snap.Tables {
-		t := store.db.Table(ts.Name)
-		if t == nil {
-			return nil, fmt.Errorf("legodb: snapshot table %q not in the re-derived catalog", ts.Name)
-		}
-		if err := matchColumns(ts.Name, ts.Columns, t); err != nil {
-			return nil, err
-		}
-		for _, row := range ts.Rows {
-			if err := t.Insert(row); err != nil {
-				return nil, fmt.Errorf("legodb: snapshot table %q: %w", ts.Name, err)
-			}
-		}
-		t.SetNextID(ts.NextID)
-	}
-	return store, nil
-}
-
 // matchColumns checks a snapshot table's column list against the
 // re-derived catalog definition.
 func matchColumns(name string, cols []string, t *engine.Table) error {
@@ -315,10 +252,11 @@ func matchColumns(name string, cols []string, t *engine.Table) error {
 	return nil
 }
 
-// OpenStoreFile reads a snapshot file. A corrupt file is quarantined to
-// path+".corrupt" (the returned error still reports the corruption, and
-// mentions the quarantine path when the rename succeeded) so the next
-// SaveFile starts clean and the evidence survives for inspection.
+// OpenStoreFile reads a snapshot file. A corrupt file is quarantined
+// by fsio.Quarantine to path+".corrupt", or the first free
+// path+".corrupt.N" (the returned error still reports the corruption,
+// and mentions the quarantine path when the rename succeeded), so the
+// next SaveFile starts clean and the evidence survives for inspection.
 func OpenStoreFile(path string) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -327,8 +265,7 @@ func OpenStoreFile(path string) (*Store, error) {
 	store, err := OpenStore(f)
 	f.Close()
 	if err != nil && errors.Is(err, ErrCorruptStoreSnapshot) {
-		quarantine := path + ".corrupt"
-		if renameErr := os.Rename(path, quarantine); renameErr == nil {
+		if quarantine, renameErr := fsio.Quarantine(path); renameErr == nil {
 			return nil, fmt.Errorf("%w (quarantined to %s)", err, quarantine)
 		}
 	}

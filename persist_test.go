@@ -3,7 +3,6 @@ package legodb
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -143,6 +142,7 @@ func TestSnapshotFrameValidation(t *testing.T) {
 	}
 	corrupt("bad magic", func(b []byte) []byte { b[0] ^= 0xff; return b })
 	corrupt("bad version", func(b []byte) []byte { b[8] = 0x7f; return b })
+	corrupt("retired version 1", func([]byte) []byte { return retiredV1Frame() })
 	corrupt("truncated header", func(b []byte) []byte { return b[:storeHeaderLen-3] })
 	corrupt("truncated payload", func(b []byte) []byte { return b[:len(b)-5] })
 	corrupt("payload bit-flip", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b })
@@ -357,109 +357,36 @@ func TestOpenStoreFileQuarantinesTruncated(t *testing.T) {
 	}
 }
 
-// writeV1Snapshot frames a legacy version-1 (gob rows) snapshot of the
-// store, exactly as the pre-colfile writer did.
-func writeV1Snapshot(t *testing.T, store *Store) []byte {
-	t.Helper()
-	store.mu.RLock()
-	snap := storeSnapshot{SchemaText: store.schema.String()}
-	for _, name := range store.catalog.Order {
-		tbl := store.db.Table(name)
-		cols := make([]string, len(tbl.Def.Columns))
-		for i, c := range tbl.Def.Columns {
-			cols[i] = c.Name
-		}
-		ts := tableSnapshot{Name: name, Columns: cols, NextID: tbl.PeekNextID()}
-		n := tbl.NumRows()
-		for pos := 0; pos < n; pos++ {
-			ts.Rows = append(ts.Rows, tbl.Row(pos))
-		}
-		snap.Tables = append(snap.Tables, ts)
-	}
-	store.mu.RUnlock()
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	var hdr [storeHeaderLen]byte
-	copy(hdr[:8], storeMagic[:])
-	binary.LittleEndian.PutUint16(hdr[8:10], storeSnapshotVersionGob)
-	binary.LittleEndian.PutUint64(hdr[10:18], uint64(len(snap.Tables)))
-	binary.LittleEndian.PutUint64(hdr[18:26], uint64(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[26:30], fsio.Checksum(payload.Bytes()))
-	buf.Write(hdr[:])
-	buf.Write(payload.Bytes())
-	return buf.Bytes()
+// retiredV1Frame hand-builds a frame whose magic, sizes and checksum
+// are all valid but whose header declares the retired version 1 (gob
+// rows), which no reader accepts any more.
+func retiredV1Frame() []byte {
+	payload := []byte("version-1 gob rows")
+	frame := make([]byte, storeHeaderLen, storeHeaderLen+len(payload))
+	copy(frame[:8], storeMagic[:])
+	binary.LittleEndian.PutUint16(frame[8:10], 1)
+	binary.LittleEndian.PutUint64(frame[10:18], 1)
+	binary.LittleEndian.PutUint64(frame[18:26], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(frame[26:30], fsio.Checksum(payload))
+	return append(frame, payload...)
 }
 
-// TestSnapshotUpgradeV1RoundTrip proves the migration path: a legacy
-// version-1 snapshot opens read-only, publishes byte-identical documents
-// to the version-2 snapshot of the same store, and saving it again
-// produces a version-2 file that round-trips.
-func TestSnapshotUpgradeV1RoundTrip(t *testing.T) {
-	store, doc := advisedStore(t)
-	v1 := writeV1Snapshot(t, store)
-
-	fromV1, err := OpenStore(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("open v1 snapshot: %v", err)
-	}
-	var v2 bytes.Buffer
-	if err := store.Save(&v2); err != nil {
+// TestOpenStoreFileQuarantinesRetiredVersion: a version-1 snapshot file
+// fails the version check like any other corrupt file and is moved aside
+// to path+".corrupt".
+func TestOpenStoreFileQuarantinesRetiredVersion(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.legodb")
+	if err := os.WriteFile(path, retiredV1Frame(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := binary.LittleEndian.Uint16(v2.Bytes()[8:10]); got != storeSnapshotVersion {
-		t.Fatalf("Save wrote version %d, want %d", got, storeSnapshotVersion)
+	if _, err := OpenStoreFile(path); !errors.Is(err, ErrCorruptStoreSnapshot) {
+		t.Fatalf("version-1 snapshot: want ErrCorruptStoreSnapshot, got %v", err)
 	}
-	fromV2, err := OpenStore(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatalf("open v2 snapshot: %v", err)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Error("version-1 snapshot still occupies the snapshot path")
 	}
-
-	docs1, err := fromV1.Publish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs2, err := fromV2.Publish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(docs1) != 1 || len(docs2) != 1 {
-		t.Fatalf("published %d and %d documents, want 1 each", len(docs1), len(docs2))
-	}
-	if got1, got2 := docs1[0].String(), docs2[0].String(); got1 != got2 {
-		t.Fatal("v1 and v2 snapshots publish different bytes")
-	}
-	if !xmltree.EqualCanonical(doc, docs1[0]) {
-		t.Fatal("v1 snapshot publishes a different document than was loaded")
-	}
-
-	// Upgrading: re-saving the v1-loaded store writes v2, which reopens.
-	var upgraded bytes.Buffer
-	if err := fromV1.Save(&upgraded); err != nil {
-		t.Fatal(err)
-	}
-	if got := binary.LittleEndian.Uint16(upgraded.Bytes()[8:10]); got != storeSnapshotVersion {
-		t.Fatalf("upgrade wrote version %d, want %d", got, storeSnapshotVersion)
-	}
-	back, err := OpenStore(bytes.NewReader(upgraded.Bytes()))
-	if err != nil {
-		t.Fatalf("upgraded snapshot does not reopen: %v", err)
-	}
-	docs3, err := back.Publish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if docs3[0].String() != docs1[0].String() {
-		t.Fatal("upgraded snapshot publishes different bytes")
-	}
-	// Id sequences survive the upgrade: post-upgrade inserts don't collide.
-	if err := back.Load(imdb.Generate(imdb.GenOptions{Shows: 2, Seed: 77})); err != nil {
-		t.Fatalf("Load after upgrade: %v", err)
-	}
-	if _, err := back.Publish(); err != nil {
-		t.Fatalf("Publish after post-upgrade load: %v", err)
+	if _, err := os.Stat(path + ".corrupt"); err != nil {
+		t.Errorf("version-1 snapshot not quarantined: %v", err)
 	}
 }
 

@@ -125,7 +125,7 @@ func TestStoreConcurrentQueriesAndMutations(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			store.SetRowAtATimeExec(i%2 == 1)
+			setRowAtATimeExec(store, i%2 == 1)
 		}
 	}()
 
@@ -134,7 +134,7 @@ func TestStoreConcurrentQueriesAndMutations(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	store.SetRowAtATimeExec(false)
+	setRowAtATimeExec(store, false)
 	res, err := store.Query(`FOR $v IN imdb/show RETURN $v/title`, nil)
 	if err != nil {
 		t.Fatalf("query after hammering: %v", err)
