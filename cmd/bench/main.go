@@ -345,6 +345,11 @@ func runEngineExec(ctx context.Context, runs int, rep *report) error {
 		if err != nil {
 			return fmt.Errorf("%s (%s): %v", sh.name, sh.query, err)
 		}
+		// Plan once, as a prepared query does: the rows time execution only.
+		plan, err := db.Plan(sq)
+		if err != nil {
+			return fmt.Errorf("%s (%s): %v", sh.name, sh.query, err)
+		}
 		nsByMode := map[string]float64{}
 		for _, mode := range []struct {
 			name string
@@ -359,7 +364,7 @@ func runEngineExec(ctx context.Context, runs int, rep *report) error {
 				}
 				start := time.Now()
 				for i := 0; i < sh.iters; i++ {
-					rs, err := db.Execute(sq, sh.params)
+					rs, err := db.ExecutePlan(ctx, plan, sh.params)
 					if err != nil {
 						return fmt.Errorf("%s/%s: %v", sh.name, mode.name, err)
 					}

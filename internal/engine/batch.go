@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"legodb/internal/optimizer"
 	"legodb/internal/sqlast"
 )
 
@@ -51,12 +52,12 @@ func (db *Database) executeBlockBatch(ctx context.Context, p *blockPlan, params 
 
 	for i := range p.steps {
 		st := &p.steps[i]
-		switch st.kind {
-		case stepINL:
+		switch st.method {
+		case optimizer.INL:
 			err = e.stepINL(st)
-		case stepHash:
+		case optimizer.Hash:
 			err = e.stepHash(st)
-		case stepCartesian:
+		case optimizer.Cartesian:
 			err = e.stepCartesian(st)
 		}
 		if err != nil {

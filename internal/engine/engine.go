@@ -9,7 +9,7 @@
 // processed — so estimates and measurements can be compared.
 //
 // A Database supports concurrent query execution against stable data:
-// Execute/ExecuteContext from multiple goroutines are safe with each
+// Execute/ExecutePlan from multiple goroutines are safe with each
 // other (counters accrue execution-locally and fold into Stats under an
 // internal mutex), but callers must serialize mutations — inserts,
 // tombstones, executor-mode flips — against in-flight queries. The Store

@@ -3,8 +3,10 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"legodb/internal/faults"
+	"legodb/internal/optimizer"
 	"legodb/internal/sqlast"
 )
 
@@ -20,27 +22,59 @@ type ResultSet struct {
 	Rows    []Row
 }
 
-// Execute runs all blocks of a query and unions their results, counting
-// work in db.Stats. It is ExecuteContext with a background context.
+// Execute plans a query and runs it with a background context; see Plan
+// and ExecutePlan.
 func (db *Database) Execute(q *sqlast.Query, params Params) (*ResultSet, error) {
-	return db.ExecuteContext(context.Background(), q, params)
+	p, err := db.Plan(q)
+	if err != nil {
+		return nil, err
+	}
+	return db.ExecutePlan(context.Background(), p, params)
 }
 
-// ExecuteContext is Execute under a caller-controlled context:
-// cancelling ctx (or exceeding its deadline) aborts the execution at the
-// next chunk or probe-loop boundary with the context's error, so a
-// served query stops consuming engine work as soon as its request is
-// cancelled. Counters accrue into an execution-local accumulator and are
-// folded into db.Stats once at the end (partial work included on error),
-// so concurrent executions never race on the shared counters.
-func (db *Database) ExecuteContext(ctx context.Context, q *sqlast.Query, params Params) (*ResultSet, error) {
+// Plan is a query's physical plan: per union block, the optimizer's start
+// relation, join order and join method, with every predicate scheduled.
+// It depends only on the database's catalog, never on the data or the
+// parameters, so it can be made once and executed many times on the
+// database that made it.
+type Plan struct {
+	name   string
+	blocks []*blockPlan
+}
+
+// Plan plans a query through the optimizer over the database's catalog.
+// Like optimizer.QueryCost, it plans the union blocks in order with one
+// shared set of scanned tables, so the executed plan is the costed one.
+func (db *Database) Plan(q *sqlast.Query) (*Plan, error) {
+	opt := optimizer.New(db.Cat)
+	scanned := make(map[string]bool)
+	p := &Plan{name: q.Name, blocks: make([]*blockPlan, 0, len(q.Blocks))}
+	for _, b := range q.Blocks {
+		bp, err := db.planBlock(opt, b, scanned)
+		if err != nil {
+			return nil, fmt.Errorf("engine: %s: %w", q.Name, err)
+		}
+		p.blocks = append(p.blocks, bp)
+	}
+	return p, nil
+}
+
+// ExecutePlan runs all blocks of a plan and unions their results,
+// counting work in db.Stats. Cancelling ctx (or exceeding its deadline)
+// aborts the execution at the next chunk or probe-loop boundary with the
+// context's error, so a served query stops consuming engine work as soon
+// as its request is cancelled. Counters accrue into an execution-local
+// accumulator and are folded into db.Stats once at the end (partial work
+// included on error), so concurrent executions never race on the shared
+// counters.
+func (db *Database) ExecutePlan(ctx context.Context, p *Plan, params Params) (*ResultSet, error) {
 	var stats Counters
 	out := &ResultSet{}
-	for _, b := range q.Blocks {
-		rs, err := db.executeBlock(ctx, b, params, &stats)
+	for _, bp := range p.blocks {
+		rs, err := db.executeBlock(ctx, bp, params, &stats)
 		if err != nil {
 			db.addStats(stats)
-			return nil, fmt.Errorf("engine: %s: %w", q.Name, err)
+			return nil, fmt.Errorf("engine: %s: %w", p.name, err)
 		}
 		if len(rs.Columns) > len(out.Columns) {
 			out.Columns = rs.Columns
@@ -61,25 +95,20 @@ func (db *Database) ExecuteContext(ctx context.Context, q *sqlast.Query, params 
 	return out, nil
 }
 
-// ExecuteBlock runs one SPJ block with a background context.
+// ExecuteBlock plans one SPJ block on its own and runs it. Unlike
+// Execute, it counts no output tuples.
 func (db *Database) ExecuteBlock(b *sqlast.Block, params Params) (*ResultSet, error) {
-	return db.ExecuteBlockContext(context.Background(), b, params)
-}
-
-// ExecuteBlockContext runs one SPJ block: filtered scan of a start
-// relation, then index-nested-loop or hash joins along the join graph,
-// then projection. The physical plan (join order, join algorithm per
-// edge, cross-filter schedule) is derived once by planBlock and shared by
-// both executor implementations, so the batch and row-at-a-time paths do
-// the same logical work and report identical Counters.
-func (db *Database) ExecuteBlockContext(ctx context.Context, b *sqlast.Block, params Params) (*ResultSet, error) {
+	p, err := db.planBlock(optimizer.New(db.Cat), b, nil)
+	if err != nil {
+		return nil, err
+	}
 	var stats Counters
-	rs, err := db.executeBlock(ctx, b, params, &stats)
+	rs, err := db.executeBlock(context.Background(), p, params, &stats)
 	db.addStats(stats)
 	return rs, err
 }
 
-func (db *Database) executeBlock(ctx context.Context, b *sqlast.Block, params Params, stats *Counters) (*ResultSet, error) {
+func (db *Database) executeBlock(ctx context.Context, p *blockPlan, params Params, stats *Counters) (*ResultSet, error) {
 	// SiteExec is the serving path's fault seam: tests arm it to prove an
 	// injected executor failure surfaces as a structured error without
 	// wedging or crashing the caller.
@@ -87,10 +116,6 @@ func (db *Database) executeBlock(ctx context.Context, b *sqlast.Block, params Pa
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	p, err := db.planBlock(b)
-	if err != nil {
 		return nil, err
 	}
 	if db.Exec.RowAtATime {
@@ -105,43 +130,26 @@ func (db *Database) executeBlock(ctx context.Context, b *sqlast.Block, params Pa
 // cartesian products within a fraction of a millisecond.
 const ctxCheckMask = 511
 
-// stepKind discriminates how a plan step binds its alias.
-type stepKind int
-
-const (
-	// stepINL probes the new relation's key index once per intermediate
-	// tuple (index nested-loop join).
-	stepINL stepKind = iota
-	// stepHash scans and builds the new relation into a hash table keyed
-	// on the join column, then probes it with the intermediate tuples.
-	stepHash
-	// stepCartesian crosses the intermediate tuples with a filtered scan
-	// of a disconnected relation.
-	stepCartesian
-)
-
 // planStep binds one more alias into the intermediate result.
 type planStep struct {
-	kind  stepKind
-	alias string
+	method optimizer.Method
+	alias  string
 	// filters are the constant (and same-alias) filters on alias, applied
 	// while scanning or probing it.
 	filters []sqlast.Filter
-	// Join edge (stepINL / stepHash): alias.newCol = oldAlias.oldCol with
-	// oldAlias already bound.
+	// Join key (INL / Hash): alias.newCol = oldAlias.oldCol with oldAlias
+	// already bound.
 	newCol   string
 	oldAlias string
 	oldCol   string
-	// cross lists the cross filters that first become applicable (both
-	// aliases bound) after this step. Equality cross filters that the
-	// planner consumed as join edges are enforced by the join itself and
-	// are not listed; the rest — including equality filters whose aliases
-	// both became bound through other edges — are applied here exactly
-	// once.
+	// cross lists the step's other join predicates: every predicate that
+	// first becomes evaluable once alias is bound, except the join key.
+	// They run as filters right after the step, each exactly once.
 	cross []sqlast.Filter
 }
 
-// blockPlan is the shared physical plan of one SPJ block.
+// blockPlan is the physical plan of one SPJ block, shared by both
+// executors.
 type blockPlan struct {
 	tables map[string]*Table
 	// order lists aliases in FROM order; slot maps an alias to its
@@ -153,23 +161,25 @@ type blockPlan struct {
 	startFilters []sqlast.Filter
 	steps        []planStep
 	projs        []sqlast.ColumnRef
+	est          optimizer.Estimate
 }
 
-// planBlock derives the physical plan: the start relation (prefer one
-// with constant filters), the deterministic join order (declared joins
-// first, then equality cross filters, first applicable edge wins — the
-// same order the seed executor produced), the join algorithm per edge
-// (INL through a key index, hash otherwise), cartesian fallbacks for
-// disconnected aliases, and the cross-filter schedule. Join order never
-// depends on the data, only on the block and the catalog, so it can be
-// fixed before execution.
-func (db *Database) planBlock(b *sqlast.Block) (*blockPlan, error) {
-	if len(b.Tables) == 0 {
-		return nil, fmt.Errorf("block has no tables")
+// planBlock turns the optimizer's plan for a block into a physical plan.
+// Declared joins and cross-alias filters are one list of predicates
+// (sqlast.Block.JoinPredicates); each step joins on the predicate the
+// optimizer keyed it on and filters by the rest of the predicates it
+// connects. scanned is the query's shared scan set (nil for a block
+// planned alone).
+func (db *Database) planBlock(opt *optimizer.Optimizer, b *sqlast.Block, scanned map[string]bool) (*blockPlan, error) {
+	est, err := opt.BlockCostShared(b, scanned)
+	if err != nil {
+		return nil, err
 	}
 	p := &blockPlan{
 		tables: make(map[string]*Table, len(b.Tables)),
 		slot:   make(map[string]int, len(b.Tables)),
+		start:  est.Start,
+		est:    est,
 	}
 	for _, tref := range b.Tables {
 		t := db.Table(tref.Table)
@@ -183,78 +193,27 @@ func (db *Database) planBlock(b *sqlast.Block) (*blockPlan, error) {
 		p.tables[tref.Alias] = t
 	}
 
-	constFilters := make(map[string][]sqlast.Filter)
-	var cross []sqlast.Filter
+	local := make(map[string][]sqlast.Filter)
 	for _, f := range b.Filters {
-		if f.RightCol != nil && f.RightCol.Alias != f.Col.Alias {
-			cross = append(cross, f)
-			continue
-		}
-		constFilters[f.Col.Alias] = append(constFilters[f.Col.Alias], f)
-	}
-
-	p.start = p.order[0]
-	for _, a := range p.order {
-		if len(constFilters[a]) > 0 {
-			p.start = a
-			break
+		if !f.IsCross() {
+			local[f.Col.Alias] = append(local[f.Col.Alias], f)
 		}
 	}
-	p.startFilters = constFilters[p.start]
-
-	bound := map[string]bool{p.start: true}
-	eqUsed := make([]bool, len(cross))
-	crossDone := make([]bool, len(cross))
-	// schedule returns the cross filters that just became applicable:
-	// both aliases bound, not yet scheduled, and not consumed as a join
-	// edge. Each filter is applied exactly once, at the earliest step
-	// where it can be evaluated.
-	schedule := func() []sqlast.Filter {
-		var out []sqlast.Filter
-		for i, f := range cross {
-			if crossDone[i] || eqUsed[i] {
-				continue
-			}
-			if bound[f.Col.Alias] && bound[f.RightCol.Alias] {
-				crossDone[i] = true
-				out = append(out, f)
+	p.startFilters = local[p.start]
+	preds := b.JoinPredicates()
+	for _, s := range est.Steps {
+		st := planStep{method: s.Method, alias: s.Alias, filters: local[s.Alias]}
+		for _, i := range s.Preds {
+			f := preds[i]
+			switch {
+			case i != s.Key:
+				st.cross = append(st.cross, f)
+			case f.Col.Alias == s.Alias:
+				st.newCol, st.oldAlias, st.oldCol = f.Col.Column, f.RightCol.Alias, f.RightCol.Column
+			default:
+				st.newCol, st.oldAlias, st.oldCol = f.RightCol.Column, f.Col.Alias, f.Col.Column
 			}
 		}
-		return out
-	}
-
-	for len(bound) < len(p.order) {
-		st, crossIdx, found := nextEdge(b, cross, bound)
-		if !found {
-			// Disconnected: cartesian with the next unbound alias.
-			for _, a := range p.order {
-				if !bound[a] {
-					st = planStep{kind: stepCartesian, alias: a}
-					break
-				}
-			}
-		} else if crossIdx >= 0 {
-			// This equality cross filter is enforced by the join edge; it
-			// must not be re-applied as a filter.
-			eqUsed[crossIdx] = true
-		}
-		st.filters = constFilters[st.alias]
-		if st.kind != stepCartesian {
-			newTable := p.tables[st.alias]
-			// Index nested-loop only through the new relation's key,
-			// mirroring the optimizer's physical assumptions (FK hash
-			// indexes exist for the publisher, but query plans join FK
-			// edges with hash joins).
-			_, hasIndex := newTable.indexes[st.newCol]
-			keyCol := newTable.Def.Column(st.newCol)
-			if hasIndex && keyCol != nil && keyCol.Key {
-				st.kind = stepINL
-			} else {
-				st.kind = stepHash
-			}
-		}
-		bound[st.alias] = true
-		st.cross = schedule()
 		p.steps = append(p.steps, st)
 	}
 
@@ -265,35 +224,39 @@ func (db *Database) planBlock(b *sqlast.Block) (*blockPlan, error) {
 	return p, nil
 }
 
-// nextEdge picks the next join edge: declared joins in order, then
-// equality cross filters in order, the first with exactly one side
-// bound. crossIdx reports which cross filter supplied the edge (-1 for
-// declared joins).
-func nextEdge(b *sqlast.Block, cross []sqlast.Filter, bound map[string]bool) (st planStep, crossIdx int, found bool) {
-	for _, j := range b.Joins {
-		switch {
-		case bound[j.Left.Alias] && !bound[j.Right.Alias]:
-			return planStep{alias: j.Right.Alias, newCol: j.Right.Column,
-				oldAlias: j.Left.Alias, oldCol: j.Left.Column}, -1, true
-		case bound[j.Right.Alias] && !bound[j.Left.Alias]:
-			return planStep{alias: j.Left.Alias, newCol: j.Left.Column,
-				oldAlias: j.Right.Alias, oldCol: j.Right.Column}, -1, true
+// String renders the plan as the engine executes it: per block the start
+// relation, then per step the join method, join key and the predicates
+// deferred to filters, with the optimizer's estimated cost and rows.
+func (p *Plan) String() string {
+	var b strings.Builder
+	total := optimizer.Estimate{}
+	for i, bp := range p.blocks {
+		fmt.Fprintf(&b, "block %d: estimated cost %.1f, rows %.0f\n", i+1, bp.est.Cost, bp.est.Rows)
+		fmt.Fprintf(&b, "  scan %s %s", bp.start, bp.tables[bp.start].Def.Name)
+		writeFilters(&b, " where", bp.startFilters)
+		for _, st := range bp.steps {
+			fmt.Fprintf(&b, "\n  %s %s %s", st.method, st.alias, bp.tables[st.alias].Def.Name)
+			if st.method != optimizer.Cartesian {
+				fmt.Fprintf(&b, " on %s.%s = %s.%s", st.alias, st.newCol, st.oldAlias, st.oldCol)
+			}
+			writeFilters(&b, " where", st.filters)
+			writeFilters(&b, " then filter", st.cross)
 		}
+		b.WriteByte('\n')
+		total.Cost += bp.est.Cost
+		total.Rows += bp.est.Rows
 	}
-	for i, f := range cross {
-		if f.Op != sqlast.OpEq {
-			continue
+	fmt.Fprintf(&b, "total: estimated cost %.1f, rows %.0f\n", total.Cost, total.Rows)
+	return b.String()
+}
+
+func writeFilters(b *strings.Builder, label string, filters []sqlast.Filter) {
+	for i, f := range filters {
+		if i > 0 {
+			label = " and"
 		}
-		switch {
-		case bound[f.Col.Alias] && !bound[f.RightCol.Alias]:
-			return planStep{alias: f.RightCol.Alias, newCol: f.RightCol.Column,
-				oldAlias: f.Col.Alias, oldCol: f.Col.Column}, i, true
-		case bound[f.RightCol.Alias] && !bound[f.Col.Alias]:
-			return planStep{alias: f.Col.Alias, newCol: f.Col.Column,
-				oldAlias: f.RightCol.Alias, oldCol: f.RightCol.Column}, i, true
-		}
+		fmt.Fprintf(b, "%s %s", label, f)
 	}
-	return planStep{}, -1, false
 }
 
 // resolveJoinCols resolves a join step's column indices, with the new

@@ -46,13 +46,24 @@ func cartesianBlock() *sqlast.Block {
 	return b
 }
 
+// runCtx plans a block and executes it under ctx.
+func runCtx(t *testing.T, ctx context.Context, db *Database, b *sqlast.Block) error {
+	t.Helper()
+	p, err := db.Plan(&sqlast.Query{Blocks: []*sqlast.Block{b}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = db.ExecutePlan(ctx, p, nil)
+	return err
+}
+
 func TestExecuteContextAlreadyCancelled(t *testing.T) {
 	db := bigShowDB(t, 10)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, rows := range []bool{false, true} {
 		db.Exec = Options{RowAtATime: rows}
-		_, err := db.ExecuteBlockContext(ctx, cartesianBlock(), nil)
+		err := runCtx(t, ctx, db, cartesianBlock())
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("RowAtATime=%v: err = %v, want context.Canceled", rows, err)
 		}
@@ -68,7 +79,7 @@ func TestExecuteContextDeadlineStopsMidPlan(t *testing.T) {
 		db.Exec = Options{RowAtATime: rows}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 		start := time.Now()
-		_, err := db.ExecuteBlockContext(ctx, cartesianBlock(), nil)
+		err := runCtx(t, ctx, db, cartesianBlock())
 		elapsed := time.Since(start)
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"legodb/internal/optimizer"
 	"legodb/internal/sqlast"
 )
 
@@ -24,8 +25,8 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 
 	for i := range p.steps {
 		st := &p.steps[i]
-		switch st.kind {
-		case stepCartesian:
+		switch st.method {
+		case optimizer.Cartesian:
 			rows, err := db.scanFiltered(ctx, p.tables[st.alias], st.alias, st.filters, params, stats)
 			if err != nil {
 				return nil, err
@@ -45,7 +46,7 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 			}
 			current = merged
 
-		case stepINL:
+		case optimizer.INL:
 			// The new side's column index is unused (Lookup probes by
 			// name) but is still resolved for error parity.
 			_, oldCi, err := p.resolveJoinCols(st)
@@ -82,7 +83,7 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 			}
 			current = joined
 
-		case stepHash:
+		case optimizer.Hash:
 			newCi, oldCi, err := p.resolveJoinCols(st)
 			if err != nil {
 				return nil, err

@@ -96,8 +96,45 @@ func New(cat *relational.Catalog) *Optimizer {
 type Estimate struct {
 	Cost float64
 	Rows float64
-	// Plan is a human-readable join order, for debugging and reports.
-	Plan string
+	// Start and Steps are a block's chosen join plan: the relation read
+	// first, then one step per further relation. The engine executes
+	// exactly this plan. QueryCost's total over a query's blocks leaves
+	// them empty; BlockCostShared plans the blocks one by one.
+	Start string
+	Steps []Step
+}
+
+// Method is how a plan step binds its relation.
+type Method int
+
+// Join methods.
+const (
+	// INL probes the new relation's key index once per intermediate
+	// tuple (index nested-loop join).
+	INL Method = iota
+	// Hash scans the new relation into a hash table on the join column
+	// and probes it with the intermediate tuples.
+	Hash
+	// Cartesian crosses the intermediate tuples with a scan of a
+	// relation that no equality predicate connects.
+	Cartesian
+)
+
+func (m Method) String() string { return [...]string{"inl", "hash", "cartesian"}[m] }
+
+// Step binds one more relation into a block's intermediate result.
+type Step struct {
+	Alias  string
+	Method Method
+	// Preds indexes the block's JoinPredicates that connect Alias to the
+	// relations bound before it: every cross-alias predicate that first
+	// becomes evaluable at this step.
+	Preds []int
+	// Key is the predicate (an index into JoinPredicates, one of Preds)
+	// the join runs on: the equality entering Alias through its key
+	// column for INL, the most selective equality for Hash; -1 for
+	// Cartesian.
+	Key int
 }
 
 // QueryCost sums the best-plan costs of all blocks. Blocks of one query
@@ -111,7 +148,6 @@ func (o *Optimizer) QueryCost(q *sqlast.Query) (Estimate, error) {
 		return Estimate{}, err
 	}
 	var total Estimate
-	var plans []string
 	scanned := make(map[string]bool)
 	for _, b := range q.Blocks {
 		est, err := o.BlockCostShared(b, scanned)
@@ -120,9 +156,7 @@ func (o *Optimizer) QueryCost(q *sqlast.Query) (Estimate, error) {
 		}
 		total.Cost += est.Cost
 		total.Rows += est.Rows
-		plans = append(plans, est.Plan)
 	}
-	total.Plan = strings.Join(plans, " UNION ")
 	return total, nil
 }
 
@@ -154,20 +188,7 @@ type rel struct {
 	rows    float64 // after local selections
 	rawRows float64
 	width   float64
-	// eqFiltered marks that a local equality selection applies (affects
-	// nothing else; scans are still scans on data columns).
-	filters int
-}
-
-// edge is a join predicate between two aliases.
-type edge struct {
-	a, b       string // aliases
-	aCol, bCol string
-}
-
-// BlockCost estimates the best plan cost for a block in isolation.
-func (o *Optimizer) BlockCost(b *sqlast.Block) (Estimate, error) {
-	return o.blockCost(b, make(map[string]bool))
+	filters int // local selections on the alias
 }
 
 // BlockCostShared is the block-level costing unit that QueryCost composes:
@@ -179,17 +200,8 @@ func (o *Optimizer) BlockCost(b *sqlast.Block) (Estimate, error) {
 // confined to those names — the invariant that lets the logical-plan layer
 // (internal/plan) memoize (cost, added entries) across structurally
 // identical blocks and replay them into a different query's scan state.
+// A nil scanned set costs the block on its own.
 func (o *Optimizer) BlockCostShared(b *sqlast.Block, scanned map[string]bool) (Estimate, error) {
-	if scanned == nil {
-		scanned = make(map[string]bool)
-	}
-	return o.blockCost(b, scanned)
-}
-
-// blockCost estimates a block's cost; scanned carries the tables already
-// read by earlier blocks of the same query (their re-scans cost CPU
-// only).
-func (o *Optimizer) blockCost(b *sqlast.Block, scanned map[string]bool) (Estimate, error) {
 	if len(b.Tables) == 0 {
 		return Estimate{}, fmt.Errorf("block has no tables")
 	}
@@ -210,17 +222,16 @@ func (o *Optimizer) blockCost(b *sqlast.Block, scanned map[string]bool) (Estimat
 		rels[tref.Alias] = r
 		order = append(order, tref.Alias)
 	}
-	// Local selections reduce the estimated rows of their alias.
-	var edges []edge
-	for _, j := range b.Joins {
-		edges = append(edges, edge{a: j.Left.Alias, aCol: j.Left.Column, b: j.Right.Alias, bCol: j.Right.Column})
+	preds := b.JoinPredicates()
+	for _, p := range preds {
+		if rels[p.Col.Alias] == nil || rels[p.RightCol.Alias] == nil {
+			return Estimate{}, fmt.Errorf("predicate %s on unknown alias", p)
+		}
 	}
+	// Local selections reduce the estimated rows of their alias.
 	for _, f := range b.Filters {
-		if f.RightCol != nil {
-			if f.RightCol.Alias != f.Col.Alias {
-				edges = append(edges, edge{a: f.Col.Alias, aCol: f.Col.Column, b: f.RightCol.Alias, bCol: f.RightCol.Column})
-				continue
-			}
+		if f.IsCross() {
+			continue
 		}
 		r := rels[f.Col.Alias]
 		if r == nil {
@@ -232,7 +243,7 @@ func (o *Optimizer) blockCost(b *sqlast.Block, scanned map[string]bool) (Estimat
 		}
 		r.filters++
 	}
-	est := o.greedyJoin(rels, order, edges, scanned)
+	est := o.greedyJoin(rels, order, preds, scanned)
 	// Output cost: result rows times projected width.
 	projWidth := 0.0
 	for _, p := range b.Projects {
@@ -323,16 +334,16 @@ func markScanned(scanned map[string]bool, r *rel) {
 
 // greedyJoin orders the join greedily: start from the cheapest filtered
 // relation, then repeatedly attach the connected relation with the
-// lowest incremental cost, choosing between index nested-loop (when the
-// join enters the new relation through its key) and hash join. Every
-// remaining join predicate whose sides are both bound applies as a
-// selectivity reduction as soon as it becomes applicable.
-func (o *Optimizer) greedyJoin(rels map[string]*rel, order []string, edges []edge, scanned map[string]bool) Estimate {
+// lowest incremental cost, choosing between index nested-loop (when an
+// equality enters the new relation through its key) and hash join. Only
+// equality predicates connect relations; every predicate applies as a
+// selectivity reduction at the step where both its sides become bound.
+func (o *Optimizer) greedyJoin(rels map[string]*rel, order []string, preds []sqlast.Filter, scanned map[string]bool) Estimate {
 	if len(order) == 1 {
 		r := rels[order[0]]
 		c := o.scanCost(r, scanned)
 		markScanned(scanned, r)
-		return Estimate{Cost: c, Rows: r.rows, Plan: r.alias}
+		return Estimate{Cost: c, Rows: r.rows, Start: r.alias}
 	}
 	// Candidate start relations: the globally smallest, and the smallest
 	// among locally-filtered relations (starting at a filtered child lets
@@ -357,7 +368,7 @@ func (o *Optimizer) greedyJoin(rels map[string]*rel, order []string, edges []edg
 	var bestCache map[string]bool
 	for _, start := range starts {
 		cache := cloneCache(scanned)
-		est := o.greedyJoinFrom(rels, order, edges, cache, start)
+		est := o.greedyJoinFrom(rels, order, preds, cache, start)
 		if est.Cost < best.Cost {
 			best = est
 			bestCache = cache
@@ -383,33 +394,32 @@ func cloneCache(scanned map[string]bool) map[string]bool {
 
 // greedyJoinFrom runs the greedy join ordering from a fixed start
 // relation.
-func (o *Optimizer) greedyJoinFrom(rels map[string]*rel, order []string, edges []edge, scanned map[string]bool, start string) Estimate {
+func (o *Optimizer) greedyJoinFrom(rels map[string]*rel, order []string, preds []sqlast.Filter, scanned map[string]bool, start string) Estimate {
 	joined := map[string]bool{start: true}
 	cost := o.scanCost(rels[start], scanned)
 	markScanned(scanned, rels[start])
 	rows := rels[start].rows
-	plan := []string{rels[start].alias}
-	consumed := make([]bool, len(edges))
+	steps := make([]Step, 0, len(order)-1)
+	consumed := make([]bool, len(preds))
 	for len(joined) < len(order) {
-		bestAlias := ""
-		var bestEdges []int
+		best := Step{Key: -1}
 		bestCost := math.Inf(1)
 		bestRows := 0.0
-		bestHow := ""
 		for _, a := range order {
 			if joined[a] {
 				continue
 			}
-			connecting := connectingEdges(edges, consumed, joined, a)
-			if len(connecting) == 0 {
+			connecting, eq := connectingPreds(preds, consumed, joined, a)
+			if !eq {
 				continue
 			}
-			stepCost, stepRows, how := o.joinStep(rels, rows, a, edges, connecting, scanned)
+			stepCost, stepRows, method, key := o.joinStep(rels, rows, a, preds, connecting, scanned)
 			if stepCost < bestCost {
-				bestAlias, bestEdges, bestCost, bestRows, bestHow = a, connecting, stepCost, stepRows, how
+				best = Step{Alias: a, Method: method, Preds: connecting, Key: key}
+				bestCost, bestRows = stepCost, stepRows
 			}
 		}
-		if bestAlias == "" {
+		if best.Alias == "" {
 			// Disconnected component: fall back to a cartesian-ish merge
 			// with the smallest remaining relation.
 			for _, a := range order {
@@ -419,79 +429,94 @@ func (o *Optimizer) greedyJoinFrom(rels map[string]*rel, order []string, edges [
 				r := rels[a]
 				stepCost := o.scanCost(r, scanned) + rows*r.rows*o.Model.CPUTupleCost
 				if stepCost < bestCost {
-					bestAlias, bestEdges, bestCost = a, nil, stepCost
-					bestRows = rows * r.rows
-					bestHow = "cartesian"
+					connecting, _ := connectingPreds(preds, consumed, joined, a)
+					best = Step{Alias: a, Method: Cartesian, Preds: connecting, Key: -1}
+					bestCost = stepCost
+					bestRows = rows * r.rows * math.Pow(o.Model.DefaultRangeSelectivity, float64(len(connecting)))
 				}
 			}
 		}
-		joined[bestAlias] = true
-		if bestHow == "hash" || bestHow == "cartesian" {
-			markScanned(scanned, rels[bestAlias])
-			if bestHow == "hash" && scanned != nil {
-				scanned["hash:"+rels[bestAlias].table.Name] = true
+		joined[best.Alias] = true
+		if best.Method != INL {
+			markScanned(scanned, rels[best.Alias])
+			if best.Method == Hash && scanned != nil {
+				scanned["hash:"+rels[best.Alias].table.Name] = true
 			}
 		}
-		for _, i := range bestEdges {
+		for _, i := range best.Preds {
 			consumed[i] = true
 		}
 		cost += bestCost
 		rows = bestRows
-		plan = append(plan, bestHow+" "+bestAlias)
+		steps = append(steps, best)
 	}
-	return Estimate{Cost: cost, Rows: rows, Plan: strings.Join(plan, " -> ")}
+	return Estimate{Cost: cost, Rows: rows, Start: start, Steps: steps}
 }
 
-// connectingEdges returns the indexes of every unconsumed edge linking
-// the joined set to alias a.
-func connectingEdges(edges []edge, consumed []bool, joined map[string]bool, a string) []int {
+// connectingPreds returns the indexes of every unconsumed predicate
+// linking the joined set to alias a, and whether one of them is an
+// equality (only equalities can drive a join).
+func connectingPreds(preds []sqlast.Filter, consumed []bool, joined map[string]bool, a string) ([]int, bool) {
 	var out []int
-	for i, e := range edges {
+	eq := false
+	for i, p := range preds {
 		if consumed[i] {
 			continue
 		}
-		if (joined[e.a] && e.b == a) || (joined[e.b] && e.a == a) {
+		l, r := p.Col.Alias, p.RightCol.Alias
+		if (joined[l] && r == a) || (joined[r] && l == a) {
 			out = append(out, i)
+			eq = eq || p.Op == sqlast.OpEq
 		}
 	}
-	return out
+	return out, eq
 }
 
 // joinStep costs attaching relation a to the current intermediate result,
 // applying every connecting predicate jointly (independent selectivities
-// multiply). The scanned set is consulted read-only.
-func (o *Optimizer) joinStep(rels map[string]*rel, curRows float64, a string, edges []edge, connecting []int, scanned map[string]bool) (float64, float64, string) {
+// multiply): equalities by distinct counts, other comparisons by the
+// default range selectivity. It returns the cheaper method and the
+// predicate the join runs on. The scanned set is consulted read-only.
+func (o *Optimizer) joinStep(rels map[string]*rel, curRows float64, a string, preds []sqlast.Filter, connecting []int, scanned map[string]bool) (float64, float64, Method, int) {
 	r := rels[a]
 	outRows := curRows * r.rows
-	keyJoin := false
+	// hashEq is the most selective equality (the first among equals):
+	// keying the hash join on it keeps the intermediate result smallest
+	// before the step's other predicates filter it.
+	hashEq, keyEq, hashSel := -1, -1, math.Inf(1)
 	for _, i := range connecting {
-		e := edges[i]
-		aCol := e.aCol
-		if e.b == a {
-			aCol = e.bCol
+		p := preds[i]
+		if p.Op != sqlast.OpEq {
+			outRows *= o.Model.DefaultRangeSelectivity
+			continue
 		}
-		bCol := e.bCol
-		otherAlias := e.b
-		if e.b == a {
-			bCol = e.aCol
-			otherAlias = e.a
+		aCol, other, bCol := p.Col.Column, p.RightCol.Alias, p.RightCol.Column
+		if p.RightCol.Alias == a {
+			aCol, other, bCol = p.RightCol.Column, p.Col.Alias, p.Col.Column
 		}
-		den := math.Max(colDistinct(r, aCol), colDistinct(rels[otherAlias], bCol))
+		sel := 1.0
+		den := math.Max(colDistinct(r, aCol), colDistinct(rels[other], bCol))
 		if den > 1 {
 			outRows /= den
+			sel /= den
 		}
 		// NULL join keys never match: scale by the non-null share of
 		// both sides (partitioned FK columns carry a null fraction).
 		if col := r.table.Column(aCol); col != nil {
 			if col.NullFraction > 0 {
 				outRows *= 1 - col.NullFraction
+				sel *= 1 - col.NullFraction
 			}
-			if col.Key {
-				keyJoin = true
+			if col.Key && keyEq < 0 {
+				keyEq = i
 			}
 		}
-		if col := rels[otherAlias].table.Column(bCol); col != nil && col.NullFraction > 0 {
+		if col := rels[other].table.Column(bCol); col != nil && col.NullFraction > 0 {
 			outRows *= 1 - col.NullFraction
+			sel *= 1 - col.NullFraction
+		}
+		if sel < hashSel {
+			hashEq, hashSel = i, sel
 		}
 	}
 	if outRows < 0.01 {
@@ -509,21 +534,21 @@ func (o *Optimizer) joinStep(rels map[string]*rel, curRows float64, a string, ed
 		curRows*o.Model.HashCost +
 		outRows*o.Model.CPUTupleCost
 
-	// Index nested-loop: available when some join predicate enters r
-	// through its key (relations are indexed on their id column only;
-	// joins entering a child table through its foreign key run as hash
-	// joins, matching the scan-based plans of the paper's Table 2).
+	// Index nested-loop: available when some equality enters r through
+	// its key (relations are indexed on their id column only; joins
+	// entering a child table through its foreign key run as hash joins,
+	// matching the scan-based plans of the paper's Table 2).
 	inl := math.Inf(1)
-	if keyJoin {
+	if keyEq >= 0 {
 		inl = curRows*(o.Model.ProbeCost+
 			r.width/o.Model.PageSize*o.Model.PageIOCost*o.Model.RandomIOPenalty+
 			o.Model.CPUTupleCost) +
 			outRows*o.Model.CPUTupleCost
 	}
 	if inl < hash {
-		return inl, outRows, "inl"
+		return inl, outRows, INL, keyEq
 	}
-	return hash, outRows, "hash"
+	return hash, outRows, Hash, hashEq
 }
 
 func colDistinct(r *rel, colName string) float64 {
@@ -531,22 +556,6 @@ func colDistinct(r *rel, colName string) float64 {
 		return c.Distinct
 	}
 	return math.Max(1, r.rawRows/10)
-}
-
-// Explain renders the estimates of all blocks of a query, for reports.
-func (o *Optimizer) Explain(q *sqlast.Query) (string, error) {
-	var b strings.Builder
-	total := 0.0
-	for i, blk := range q.Blocks {
-		est, err := o.BlockCost(blk)
-		if err != nil {
-			return "", err
-		}
-		total += est.Cost
-		fmt.Fprintf(&b, "block %d: cost=%.1f rows=%.0f plan=%s\n", i+1, est.Cost, est.Rows, est.Plan)
-	}
-	fmt.Fprintf(&b, "total: %.1f\n", total)
-	return b.String(), nil
 }
 
 // TableSizes returns "table rows width" lines sorted by name; a debugging

@@ -138,6 +138,26 @@ func (f Filter) String() string {
 	return fmt.Sprintf("%s %s %s", f.Col, f.Op, f.Value)
 }
 
+// IsCross reports whether the filter compares columns of two different
+// aliases (a join predicate) rather than restricting a single alias.
+func (f Filter) IsCross() bool { return f.RightCol != nil && f.RightCol.Alias != f.Col.Alias }
+
+// JoinPredicates returns the block's join predicates as one kind: each
+// declared join as an equality Filter, then each cross-alias filter, in
+// block order. Plans refer to predicates by index in this list.
+func (b *Block) JoinPredicates() []Filter {
+	var out []Filter
+	for i := range b.Joins {
+		out = append(out, Filter{Col: b.Joins[i].Left, Op: OpEq, RightCol: &b.Joins[i].Right})
+	}
+	for _, f := range b.Filters {
+		if f.IsCross() {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
 // AddTable appends a FROM entry and returns its alias.
 func (b *Block) AddTable(table, alias string) string {
 	b.Tables = append(b.Tables, TableRef{Table: table, Alias: alias})

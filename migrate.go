@@ -6,7 +6,6 @@ import (
 
 	"legodb/internal/engine"
 	"legodb/internal/faults"
-	"legodb/internal/optimizer"
 	"legodb/internal/relational"
 	"legodb/internal/shred"
 	"legodb/internal/xmltree"
@@ -231,5 +230,4 @@ func (s *Store) swapLocked(ps *xschema.Schema, cat *relational.Catalog, db *engi
 	s.db = db
 	s.shredder = shred.New(ps, cat, db)
 	s.publisher = shred.NewPublisher(ps, cat, db)
-	s.opt = optimizer.New(cat)
 }

@@ -10,7 +10,6 @@ import (
 
 	"legodb/internal/core"
 	"legodb/internal/engine"
-	"legodb/internal/optimizer"
 	"legodb/internal/relational"
 	"legodb/internal/shred"
 	"legodb/internal/sqlast"
@@ -38,7 +37,6 @@ type Store struct {
 	db        *engine.Database
 	shredder  *shred.Shredder
 	publisher *shred.Publisher
-	opt       *optimizer.Optimizer
 
 	// mutEpoch counts mutations (loads, deletes, inserts). A live
 	// migration records it when publishing the old image and re-checks it
@@ -50,7 +48,17 @@ type Store struct {
 	// its own lock and survives migration (observation is a property of
 	// the traffic, not of the storage configuration).
 	obs *workloadObserver
+
+	// prepared reuses PreparedQuerys by query text, so a served request
+	// skips parsing, translation and planning. It holds at most
+	// preparedCap entries and is cleared when full. Entries survive
+	// migration: each re-plans itself on its next run.
+	prepMu   sync.Mutex
+	prepared map[string]*PreparedQuery
 }
+
+// preparedCap bounds Store.prepared.
+const preparedCap = 256
 
 // Open instantiates the advised configuration as an empty store.
 func (a *Advice) Open() (*Store, error) {
@@ -65,8 +73,8 @@ func openStore(ps *xschema.Schema, cat *relational.Catalog) (*Store, error) {
 		db:        db,
 		shredder:  shred.New(ps, cat, db),
 		publisher: shred.NewPublisher(ps, cat, db),
-		opt:       optimizer.New(cat),
 		obs:       newWorkloadObserver(),
+		prepared:  make(map[string]*PreparedQuery),
 	}, nil
 }
 
@@ -209,9 +217,9 @@ func (s *Store) QueryContext(ctx context.Context, text string, params Params) (*
 	return p.RunContext(ctx, params)
 }
 
-// PreparedQuery is a parsed and translated query, reusable with
-// different parameters; repeated executions skip parsing and
-// translation.
+// PreparedQuery is a parsed, translated and planned query, reusable
+// with different parameters; repeated executions skip parsing,
+// translation and planning.
 type PreparedQuery struct {
 	store *Store
 	q     *xquery.Query
@@ -219,47 +227,68 @@ type PreparedQuery struct {
 	// observation key each successful execution is recorded under.
 	shape *xquery.Query
 
-	// planMu guards the cached translation. The plan is bound to the
-	// catalog it was translated against; when a live migration swaps the
-	// store's configuration, the next execution re-translates against
-	// the new one instead of running a stale plan.
+	// planMu guards the cached translation and physical plan. Both are
+	// bound to the catalog they were made against; when a live migration
+	// swaps the store's configuration (catalog and database together),
+	// the next execution re-translates and re-plans against the new one
+	// instead of running a stale plan.
 	planMu sync.Mutex
 	sql    *sqlast.Query
+	plan   *engine.Plan
 	cat    *relational.Catalog
 }
 
-// Prepare parses and translates an XQuery once for repeated execution.
+// Prepare parses, translates and plans an XQuery once for repeated
+// execution. Preparing the same text again returns the same
+// PreparedQuery.
 func (s *Store) Prepare(text string) (*PreparedQuery, error) {
+	s.prepMu.Lock()
+	p := s.prepared[text]
+	s.prepMu.Unlock()
+	if p != nil {
+		return p, nil
+	}
 	q, err := xquery.Parse(text)
 	if err != nil {
 		return nil, err
 	}
+	shape, _ := queryShape(q)
+	p = &PreparedQuery{store: s, q: q, shape: shape}
 	s.mu.RLock()
-	schema, catalog := s.schema, s.catalog
+	_, _, err = p.planLocked(s)
 	s.mu.RUnlock()
-	sq, err := xquery.Translate(q, schema, catalog)
 	if err != nil {
 		return nil, err
 	}
-	shape, _ := queryShape(q)
-	return &PreparedQuery{store: s, q: q, shape: shape, sql: sq, cat: catalog}, nil
+	s.prepMu.Lock()
+	if len(s.prepared) >= preparedCap {
+		clear(s.prepared)
+	}
+	s.prepared[text] = p
+	s.prepMu.Unlock()
+	return p, nil
 }
 
-// planLocked returns the translated plan for the store's current
-// configuration, re-translating when a migration has swapped the
-// catalog since the last execution. The caller holds the store's read
-// lock, pinning schema and catalog for the duration.
-func (p *PreparedQuery) planLocked(s *Store) (*sqlast.Query, error) {
+// planLocked returns the translated query and its physical plan for the
+// store's current configuration, translating and planning again when a
+// migration has swapped the catalog since the last execution (or on the
+// first call). The caller holds the store's read lock, pinning schema,
+// catalog and database for the duration.
+func (p *PreparedQuery) planLocked(s *Store) (*sqlast.Query, *engine.Plan, error) {
 	p.planMu.Lock()
 	defer p.planMu.Unlock()
 	if p.cat != s.catalog {
 		sq, err := xquery.Translate(p.q, s.schema, s.catalog)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		p.sql, p.cat = sq, s.catalog
+		plan, err := s.db.Plan(sq)
+		if err != nil {
+			return nil, nil, err
+		}
+		p.sql, p.plan, p.cat = sq, plan, s.catalog
 	}
-	return p.sql, nil
+	return p.sql, p.plan, nil
 }
 
 // SQL returns the prepared query's translated SQL (for the configuration
@@ -280,12 +309,12 @@ func (p *PreparedQuery) Run(params Params) (*Result, error) {
 func (p *PreparedQuery) RunContext(ctx context.Context, params Params) (*Result, error) {
 	s := p.store
 	s.mu.RLock()
-	sql, err := p.planLocked(s)
+	sql, plan, err := p.planLocked(s)
 	if err != nil {
 		s.mu.RUnlock()
 		return nil, err
 	}
-	rs, err := s.db.ExecuteContext(ctx, sql, params.forBlocks(s.catalog, sql.Blocks...))
+	rs, err := s.db.ExecutePlan(ctx, plan, params.forBlocks(s.catalog, sql.Blocks...))
 	s.mu.RUnlock()
 	if err != nil {
 		return nil, err
@@ -305,24 +334,22 @@ func (p *PreparedQuery) RunContext(ctx context.Context, params Params) (*Result,
 	return out, nil
 }
 
-// ExplainQuery translates an XQuery and returns its SQL together with the
-// optimizer's cost estimate.
+// ExplainQuery returns an XQuery's translated SQL and the physical plan
+// the engine executes for it: per block the start relation, then per
+// step the join method, join key and the predicates deferred to filters,
+// with the optimizer's estimated cost and rows.
 func (s *Store) ExplainQuery(text string) (string, error) {
-	q, err := xquery.Parse(text)
+	p, err := s.Prepare(text)
 	if err != nil {
 		return "", err
 	}
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	sq, err := xquery.Translate(q, s.schema, s.catalog)
+	sql, plan, err := p.planLocked(s)
+	s.mu.RUnlock()
 	if err != nil {
 		return "", err
 	}
-	est, err := s.opt.QueryCost(sq)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%s\n-- estimated cost: %.1f, rows: %.0f\n", sq.SQL(), est.Cost, est.Rows), nil
+	return fmt.Sprintf("%s\n%s", sql.SQL(), plan), nil
 }
 
 // Publish reconstructs all loaded documents.
