@@ -32,13 +32,15 @@ func (db *Database) executeBlockRows(ctx context.Context, p *blockPlan, params P
 				return nil, err
 			}
 			var merged []binding
-			for li, l := range current {
-				if li&ctxCheckMask == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
+			for _, l := range current {
 				for _, r := range rows {
+					// Poll per emitted pair, not per outer row: one
+					// outer row can emit thousands of pairs.
+					if len(merged)&ctxCheckMask == 0 {
+						if err := ctx.Err(); err != nil {
+							return nil, err
+						}
+					}
 					m := cloneBinding(l)
 					m[st.alias] = r[st.alias]
 					merged = append(merged, m)

@@ -5,7 +5,6 @@ import (
 
 	"legodb/internal/engine"
 	"legodb/internal/xmltree"
-	"legodb/internal/xschema"
 )
 
 // Mutation support: executable inserts and deletes over a shredded
@@ -73,11 +72,8 @@ func (sh *Shredder) InsertChild(parentType string, parentID int64, node *xmltree
 		if !ok {
 			continue
 		}
-		switch def.(type) {
-		case *xschema.Element, *xschema.Wildcard:
-			if sh.Schema.MatchesType(def, node) {
-				return sh.shredInstance(child.Def.TypeName, node, parentTable, parentID)
-			}
+		if pieces, ok := sh.elementPieces(def, node); ok {
+			return sh.insertRow(child.Def.TypeName, pieces, parentTable, parentID)
 		}
 	}
 	return 0, fmt.Errorf("shred: <%s> does not instantiate any child type of %s", node.Name, parentType)

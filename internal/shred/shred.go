@@ -53,18 +53,63 @@ func (sh *Shredder) Shred(doc *xmltree.Node) error {
 }
 
 // piece is one unit of a successful structural match: either a column
-// value (path non-empty) or a child-type instance.
+// value (path non-empty) or a child instance of a named type together
+// with the pieces captured for it.
 type piece struct {
 	// Column value, keyed by the XMLPath join.
 	path  string
 	value string
-	// Child instance of a named type.
+	// Child instance of a named type: its columns and children.
 	refName string
-	node    *xmltree.Node // element/wildcard-bodied types
-	text    string        // scalar-bodied types
-	isText  bool
-	sub     []piece // group-bodied types: their columns and children
-	isGroup bool
+	sub     *rope
+}
+
+// rope is a persistent concatenation of captured pieces. Extending a
+// partial match is cat, which is O(1) and shares both operands, so
+// alternatives and repetition prefixes never copy what they captured;
+// only the winning match of an instance is flattened, once.
+type rope struct {
+	leaf        []piece // when left == nil
+	left, right *rope
+	n           int
+}
+
+func leaf(ps ...piece) *rope { return &rope{leaf: ps, n: len(ps)} }
+
+func cat(a, b *rope) *rope {
+	if a == nil {
+		return b
+	}
+	if b == nil {
+		return a
+	}
+	return &rope{left: a, right: b, n: a.n + b.n}
+}
+
+// flatten returns the pieces in order. A leaf's slice is returned as is:
+// captured pieces are never modified.
+func (r *rope) flatten() []piece {
+	if r == nil {
+		return nil
+	}
+	if r.left == nil {
+		return r.leaf
+	}
+	out := make([]piece, r.n)
+	r.fill(out)
+	return out
+}
+
+// fill writes r's pieces into out (len(out) == r.n). Matches grow to the
+// right, so ropes are left-deep: the left spine is walked iteratively and
+// only the short right operands recurse.
+func (r *rope) fill(out []piece) {
+	for r.left != nil {
+		r.right.fill(out[r.left.n:])
+		out = out[:r.left.n]
+		r = r.left
+	}
+	copy(out, r.leaf)
 }
 
 type itemKind int
@@ -99,63 +144,79 @@ func itemsOf(n *xmltree.Node) []item {
 // mres is one partial match: the position reached and the pieces captured.
 type mres struct {
 	end    int
-	pieces []piece
+	pieces *rope
 }
 
-// shredInstance inserts the row for one instance of a named type and
-// recursively shreds its children. It returns the new row's id.
+// shredInstance inserts the row for one instance of a named element or
+// wildcard type and, recursively, the rows of its children. It returns
+// the new row's id.
 func (sh *Shredder) shredInstance(typeName string, node *xmltree.Node, parentTable string, parentID int64) (int64, error) {
 	body, ok := sh.Schema.Lookup(typeName)
 	if !ok {
 		return 0, fmt.Errorf("shred: undefined type %q", typeName)
 	}
-	var pieces []piece
-	switch b := body.(type) {
-	case *xschema.Element:
-		if b.Name != node.Name {
-			return 0, fmt.Errorf("shred: node <%s> does not instantiate type %s", node.Name, typeName)
-		}
-		if _, isScalar := b.Content.(*xschema.Scalar); isScalar {
-			pieces = []piece{{path: "#text", value: node.Text}}
-		} else {
-			p, ok := sh.matchContent(b.Content, node, nil)
-			if !ok {
-				return 0, fmt.Errorf("shred: content of <%s> does not match type %s", node.Name, typeName)
-			}
-			pieces = p
-		}
-	case *xschema.Wildcard:
-		pieces = []piece{{path: "#tag", value: node.Name}}
-		if _, isScalar := b.Content.(*xschema.Scalar); isScalar {
-			pieces = append(pieces, piece{path: "#text", value: node.Text})
-		} else {
-			p, ok := sh.matchContent(b.Content, node, nil)
-			if !ok {
-				return 0, fmt.Errorf("shred: wildcard content does not match type %s", typeName)
-			}
-			pieces = append(pieces, p...)
-		}
-	case *xschema.Scalar:
-		pieces = []piece{{path: "#text", value: node.Text}}
-	default:
-		p, ok := sh.matchContent(body, node, nil)
-		if !ok {
-			return 0, fmt.Errorf("shred: node <%s> does not match group type %s", node.Name, typeName)
-		}
-		pieces = p
+	pieces, ok := sh.elementPieces(body, node)
+	if !ok {
+		return 0, fmt.Errorf("shred: <%s> does not instantiate type %s", node.Name, typeName)
 	}
 	return sh.insertRow(typeName, pieces, parentTable, parentID)
 }
 
-// matchContent matches all items of a node against a content type.
-func (sh *Shredder) matchContent(content xschema.Type, node *xmltree.Node, prefix []string) ([]piece, bool) {
+// elementPieces matches node against the body of a named element or
+// wildcard type and returns the pieces of that instance: its columns and
+// its child instances, each carrying its own pieces. It is the one place
+// a node is matched: the captured children are inserted from their pieces
+// without being matched again. It accepts exactly the nodes the validator
+// accepts.
+func (sh *Shredder) elementPieces(body xschema.Type, node *xmltree.Node) ([]piece, bool) {
+	switch b := body.(type) {
+	case *xschema.Element:
+		if b.Name != node.Name {
+			return nil, false
+		}
+		return sh.elementContent(b.Content, node, nil, "#text")
+	case *xschema.Wildcard:
+		if excluded(b, node.Name) {
+			return nil, false
+		}
+		sub, ok := sh.elementContent(b.Content, node, nil, "#text")
+		if !ok {
+			return nil, false
+		}
+		return append([]piece{{path: "#tag", value: node.Name}}, sub...), true
+	}
+	return nil, false
+}
+
+// elementContent matches node's attributes, text and children against an
+// element's content type, with column paths under prefix. Scalar content
+// is the node's text alone, stored in column textPath.
+func (sh *Shredder) elementContent(content xschema.Type, node *xmltree.Node, prefix []string, textPath string) ([]piece, bool) {
+	if sc, ok := content.(*xschema.Scalar); ok {
+		if len(node.Attrs) > 0 || len(node.Children) > 0 {
+			return nil, false
+		}
+		if sc.Kind == xschema.IntegerKind && !parsesInt(node.Text) {
+			return nil, false
+		}
+		return []piece{{path: textPath, value: node.Text}}, true
+	}
 	items := itemsOf(node)
 	for _, r := range sh.match(content, items, 0, prefix) {
 		if r.end == len(items) {
-			return r.pieces, true
+			return r.pieces.flatten(), true
 		}
 	}
 	return nil, false
+}
+
+func excluded(w *xschema.Wildcard, name string) bool {
+	for _, ex := range w.Exclude {
+		if name == ex {
+			return true
+		}
+	}
+	return false
 }
 
 // match is the assignment-producing regular-expression matcher: like the
@@ -171,7 +232,7 @@ func (sh *Shredder) match(t xschema.Type, items []item, i int, prefix []string) 
 			if t.Kind == xschema.IntegerKind && !parsesInt(items[i].value) {
 				return nil
 			}
-			return []mres{{end: i + 1, pieces: []piece{{path: pathKey(prefix, "#text"), value: items[i].value}}}}
+			return []mres{{end: i + 1, pieces: leaf(piece{path: pathKey(prefix, "#text"), value: items[i].value})}}
 		}
 		if t.Kind == xschema.StringKind {
 			return []mres{{end: i}}
@@ -182,105 +243,78 @@ func (sh *Shredder) match(t xschema.Type, items []item, i int, prefix []string) 
 			if sc, ok := t.Content.(*xschema.Scalar); ok && sc.Kind == xschema.IntegerKind && !parsesInt(items[i].value) {
 				return nil
 			}
-			return []mres{{end: i + 1, pieces: []piece{{path: pathKey(prefix, "@"+t.Name), value: items[i].value}}}}
+			return []mres{{end: i + 1, pieces: leaf(piece{path: pathKey(prefix, "@"+t.Name), value: items[i].value})}}
 		}
 		return nil
 	case *xschema.Element:
 		if i >= len(items) || items[i].kind != itemElem || items[i].name != t.Name {
 			return nil
 		}
-		node := items[i].node
-		if sc, ok := t.Content.(*xschema.Scalar); ok {
-			if len(node.Children) > 0 {
-				return nil
-			}
-			if sc.Kind == xschema.IntegerKind && !parsesInt(node.Text) {
-				return nil
-			}
-			return []mres{{end: i + 1, pieces: []piece{{path: pathKey(prefix, t.Name), value: node.Text}}}}
-		}
-		sub, ok := sh.matchContent(t.Content, node, extend(prefix, t.Name))
+		sub, ok := sh.elementContent(t.Content, items[i].node, extend(prefix, t.Name), pathKey(prefix, t.Name))
 		if !ok {
 			return nil
 		}
-		return []mres{{end: i + 1, pieces: sub}}
+		return []mres{{end: i + 1, pieces: leaf(sub...)}}
 	case *xschema.Wildcard:
-		if i >= len(items) || items[i].kind != itemElem {
+		if i >= len(items) || items[i].kind != itemElem || excluded(t, items[i].name) {
 			return nil
 		}
-		node := items[i].node
-		for _, ex := range t.Exclude {
-			if node.Name == ex {
-				return nil
-			}
-		}
-		tagPiece := piece{path: pathKey(extend(prefix, "~"), "#tag"), value: node.Name}
-		if _, ok := t.Content.(*xschema.Scalar); ok {
-			if len(node.Children) > 0 {
-				return nil
-			}
-			return []mres{{end: i + 1, pieces: []piece{
-				tagPiece,
-				{path: pathKey(extend(prefix, "~"), "#text"), value: node.Text},
-			}}}
-		}
-		sub, ok := sh.matchContent(t.Content, node, extend(prefix, "~"))
+		inner := extend(prefix, "~")
+		sub, ok := sh.elementContent(t.Content, items[i].node, inner, pathKey(inner, "#text"))
 		if !ok {
 			return nil
 		}
-		return []mres{{end: i + 1, pieces: append([]piece{tagPiece}, sub...)}}
+		return []mres{{end: i + 1, pieces: cat(leaf(piece{path: pathKey(inner, "#tag"), value: items[i].name}), leaf(sub...))}}
 	case *xschema.Sequence:
 		results := []mres{{end: i}}
 		for _, part := range t.Items {
-			var next []mres
+			var next resultSet
 			for _, r := range results {
 				for _, s := range sh.match(part, items, r.end, prefix) {
-					merged := mres{end: s.end, pieces: append(append([]piece(nil), r.pieces...), s.pieces...)}
-					next = addResult(next, merged)
+					next.add(mres{end: s.end, pieces: cat(r.pieces, s.pieces)})
 				}
 			}
-			if len(next) == 0 {
+			if len(next.list) == 0 {
 				return nil
 			}
-			results = next
+			results = next.list
 		}
 		return results
 	case *xschema.Choice:
-		var out []mres
+		var out resultSet
 		for _, alt := range t.Alts {
 			for _, r := range sh.match(alt, items, i, prefix) {
-				out = addResult(out, r)
+				out.add(r)
 			}
 		}
-		return out
+		return out.list
 	case *xschema.Repeat:
 		current := []mres{{end: i}}
-		var accepted []mres
+		var accepted resultSet
 		if t.Min == 0 {
-			accepted = append(accepted, mres{end: i})
+			accepted.add(mres{end: i})
 		}
 		for count := 1; t.Max == xschema.Unbounded || count <= t.Max; count++ {
-			var next []mres
+			var next resultSet
 			for _, r := range current {
 				for _, s := range sh.match(t.Inner, items, r.end, prefix) {
 					if s.end <= r.end {
 						continue // progress guard
 					}
-					merged := mres{end: s.end, pieces: append(append([]piece(nil), r.pieces...), s.pieces...)}
-					next = addResult(next, merged)
+					next.add(mres{end: s.end, pieces: cat(r.pieces, s.pieces)})
 				}
 			}
-			if len(next) == 0 {
+			if len(next.list) == 0 {
 				break
 			}
 			if count >= t.Min {
-				for _, r := range next {
-					accepted = addResult(accepted, r)
+				for _, r := range next.list {
+					accepted.add(r)
 				}
 			}
-			current = next
+			current = next.list
 		}
-		return accepted
+		return accepted.list
 	case *xschema.Ref:
 		def, ok := sh.Schema.Lookup(t.Name)
 		if !ok {
@@ -294,24 +328,19 @@ func (sh *Shredder) match(t xschema.Type, items []item, i int, prefix []string) 
 			if i >= len(items) || items[i].kind != itemElem {
 				return nil
 			}
-			if !sh.Schema.MatchesType(body, items[i].node) {
+			sub, ok := sh.elementPieces(body, items[i].node)
+			if !ok {
 				return nil
 			}
-			return []mres{{end: i + 1, pieces: []piece{{refName: t.Name, node: items[i].node}}}}
-		case *xschema.Scalar:
-			if i < len(items) && items[i].kind == itemText {
-				if body.Kind == xschema.IntegerKind && !parsesInt(items[i].value) {
-					return nil
-				}
-				return []mres{{end: i + 1, pieces: []piece{{refName: t.Name, text: items[i].value, isText: true}}}}
-			}
-			return nil
+			return []mres{{end: i + 1, pieces: leaf(piece{refName: t.Name, sub: leaf(sub...)})}}
 		default:
-			// Group type: its content splices into the parent element;
-			// the captured pieces become one row of the group's table.
+			// Group or scalar type: its content splices into the parent
+			// element; the captured pieces become one row of its table.
+			// (An absent String text, which the validator accepts as
+			// empty, leaves the row's text column null.)
 			var out []mres
 			for _, r := range sh.match(def, items, i, nil) {
-				out = addResult(out, mres{end: r.end, pieces: []piece{{refName: t.Name, sub: r.pieces, isGroup: true}}})
+				out = append(out, mres{end: r.end, pieces: leaf(piece{refName: t.Name, sub: r.pieces})})
 			}
 			return out
 		}
@@ -320,20 +349,51 @@ func (sh *Shredder) match(t xschema.Type, items []item, i int, prefix []string) 
 	}
 }
 
-// addResult appends r unless a result with the same end already exists
-// (ordered alternation: first parse wins).
-func addResult(results []mres, r mres) []mres {
-	for _, existing := range results {
-		if existing.end == r.end {
-			return results
+// resultSet collects match results, one per end position: the first parse
+// to reach an end wins, as in ordered alternation. Ends mostly arrive in
+// increasing order, since matches grow to the right, and a new maximum
+// cannot be a duplicate. Any other end is looked up: by a scan in a small
+// set, by an index of ends in a large one (a long repetition).
+type resultSet struct {
+	list []mres
+	max  int
+	ends map[int]bool // built at the first lookup in a large set
+}
+
+const scanLimit = 8
+
+func (s *resultSet) add(r mres) {
+	if len(s.list) > 0 && r.end <= s.max && s.has(r.end) {
+		return
+	}
+	s.list = append(s.list, r)
+	s.max = max(s.max, r.end)
+	if s.ends != nil {
+		s.ends[r.end] = true
+	}
+}
+
+func (s *resultSet) has(end int) bool {
+	if s.ends == nil {
+		if len(s.list) <= scanLimit {
+			for _, e := range s.list {
+				if e.end == end {
+					return true
+				}
+			}
+			return false
+		}
+		s.ends = make(map[int]bool, 2*len(s.list))
+		for _, e := range s.list {
+			s.ends[e.end] = true
 		}
 	}
-	return append(results, r)
+	return s.ends[end]
 }
 
 // insertRow materializes one instance: assigns an id, fills columns from
 // value pieces, sets the parent foreign key, and recurses into child
-// pieces.
+// pieces, whose own pieces were captured when the instance was matched.
 func (sh *Shredder) insertRow(typeName string, pieces []piece, parentTable string, parentID int64) (int64, error) {
 	tableName := sh.Cat.TableOf[typeName]
 	table := sh.DB.Table(tableName)
@@ -356,10 +416,8 @@ func (sh *Shredder) insertRow(typeName string, pieces []piece, parentTable strin
 			row[ci] = engine.Null
 		}
 	}
-	var children []piece
 	for _, p := range pieces {
 		if p.path == "" {
-			children = append(children, p)
 			continue
 		}
 		ci := columnFor(table.Def, p.path)
@@ -377,20 +435,12 @@ func (sh *Shredder) insertRow(typeName string, pieces []piece, parentTable strin
 			return 0, err
 		}
 	}
-	for _, c := range children {
-		switch {
-		case c.isGroup:
-			if _, err := sh.insertRow(c.refName, c.sub, tableName, id); err != nil {
-				return 0, err
-			}
-		case c.isText:
-			if _, err := sh.insertRow(c.refName, []piece{{path: "#text", value: c.text}}, tableName, id); err != nil {
-				return 0, err
-			}
-		default:
-			if _, err := sh.shredInstance(c.refName, c.node, tableName, id); err != nil {
-				return 0, err
-			}
+	for _, c := range pieces {
+		if c.path != "" {
+			continue
+		}
+		if _, err := sh.insertRow(c.refName, c.sub.flatten(), tableName, id); err != nil {
+			return 0, err
 		}
 	}
 	return id, nil

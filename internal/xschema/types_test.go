@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"legodb/internal/xmltree"
 )
 
 func TestTypeStringRenderings(t *testing.T) {
@@ -143,22 +141,6 @@ func TestRemoveAndDefine(t *testing.T) {
 	s.Define("B", &Scalar{})
 	if len(s.Names) != 1 {
 		t.Fatal("redefinition duplicated name")
-	}
-}
-
-func TestMatchesType(t *testing.T) {
-	s := MustParseSchema(`
-type Movie = show[ title[ String ], box_office[ Integer ] ]
-type TV = show[ title[ String ], seasons[ Integer ] ]`)
-	movie, _ := xmltree.ParseString(`<show><title>X</title><box_office>5</box_office></show>`)
-	tv, _ := xmltree.ParseString(`<show><title>Y</title><seasons>3</seasons></show>`)
-	mt, _ := s.Lookup("Movie")
-	tt, _ := s.Lookup("TV")
-	if !s.MatchesType(mt, movie) || s.MatchesType(mt, tv) {
-		t.Error("Movie matching broken")
-	}
-	if !s.MatchesType(tt, tv) || s.MatchesType(tt, movie) {
-		t.Error("TV matching broken")
 	}
 }
 

@@ -42,14 +42,6 @@ func (s *Schema) ValidateDocument(doc *xmltree.Node) error {
 // Valid reports whether doc conforms to the schema.
 func (s *Schema) Valid(doc *xmltree.Node) bool { return s.ValidateDocument(doc) == nil }
 
-// MatchesType reports whether a single element node conforms to the given
-// type expression (an element, wildcard, reference or union thereof).
-// Used by the shredder to decide which named type an element instantiates.
-func (s *Schema) MatchesType(t Type, node *xmltree.Node) bool {
-	m := &matcher{schema: s}
-	return m.matchSingle(t, node, "/")
-}
-
 // item is one unit of element content seen by the regular-expression
 // matcher: an attribute, a child element, or character data.
 type itemKind int
